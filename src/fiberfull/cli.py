@@ -4,8 +4,14 @@ Usage:  fiberfull <command> <input-file> [flags]
 
 Commands: gb, resolve, betti, hilbert, localcohom, fiberfull, locus,
 cv-verify.  Reports are JSON on stdout (CSV for Hilbert/Betti tables with
---csv); identical inputs produce byte-identical output.  Exit codes: 0 on
-success, 2 on a theorem-violation error, 1 on any other error.
+--csv); identical inputs produce byte-identical output.
+
+Flags: --order, --field, --window, --json-out, --csv; --i (localcohom,
+required) and --at (fiberfull).  Run fiberfull <command> --help for details.
+
+Exit codes: 0 on success and for --help, 2 on a theorem-violation error, 1
+on any other error, a bad flag included.  Every error prints a JSON
+{"error": {"kind": ..., "message": ...}} document on stdout.
 """
 
 import argparse
@@ -27,15 +33,26 @@ COMMANDS = ("gb", "resolve", "betti", "hilbert", "localcohom", "fiberfull", "loc
 DEFAULT_VERIFY_FIELD = 32003
 
 
+class _UsageError(AlgebraError):
+    kind = "usage"
+
+
+class _FlagParser(argparse.ArgumentParser):
+    """Reports a bad flag as a usage error instead of exiting with code 2,
+    which is reserved for theorem violations."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
 def _build_flag_parser(command):
-    p = argparse.ArgumentParser(prog="fiberfull %s" % command, add_help=True)
+    p = _FlagParser(prog="fiberfull %s" % command, add_help=True)
     p.add_argument("input", help="problem file, or - for stdin")
     p.add_argument("--order", default=None, help="lex | grevlex | block-x-over-t | weights:<csv>")
     p.add_argument("--field", default=None, help="QQ | Fp:<p>")
     p.add_argument("--window", default=None, help="<lo>:<hi>")
     p.add_argument("--json-out", default=None, help="also write the report to this path")
     p.add_argument("--csv", action="store_true", help="emit CSV for Hilbert/Betti tables")
-    p.add_argument("--threads", type=int, default=1, help="accepted for compatibility")
     if command == "localcohom":
         p.add_argument("--i", type=int, required=True, help="cohomological index")
     if command == "fiberfull":
@@ -96,8 +113,6 @@ def _load(command, args):
         window = _parse_window(args.window)
     if window is None:
         window = (-spec.ring.delta - 10, 10)
-    if args.threads < 1:
-        raise AlgebraError("--threads must be positive")
     return spec, order, window
 
 
@@ -144,7 +159,7 @@ def run_command(command, args):
             for (i, j), beta in sorted(table.entries.items()):
                 csv_lines.append("%d,%d,%d" % (i, j, beta))
     elif command == "hilbert":
-        table = hilbert_function(pres.as_quotient(), window)
+        table = hilbert_function(pres, window)
         report["window"] = [window[0], window[1]]
         report["table"] = table.to_json_dict()
         if args.csv:
@@ -203,6 +218,9 @@ def main(argv=None):
     parser = _build_flag_parser(command)
     try:
         args = parser.parse_args(argv[1:])
+    except _UsageError as exc:
+        _emit_error(exc.kind, str(exc), {"usage": parser.format_usage().strip()})
+        return 1
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -12,7 +12,7 @@ index shift above.
 from .errors import InvalidArgumentError
 from .groebner import buchberger, module_kernel
 from .hilbert import HilbertTable, hilbert_from_leads, zero_table
-from .modules import GradedFreeModule, GradedModulePresentation, PolyVector
+from .modules import GradedFreeModule, PolyVector, SubmodulePresentation
 from .resolution import free_resolution
 
 
@@ -30,12 +30,12 @@ def _dual_columns(res, k):
 def _ext_from_resolution(res, i):
     """Presentation of the i-th right-derived Hom(-, ring) from a free
     resolution: kernel of the next transposed differential modulo the image
-    of the previous one, as an abstract quotient presentation."""
+    of the previous one, as a quotient presentation."""
     ring = res.ring
     if i < 0:
         raise IndexError("negative cohomological index")
     if i > res.length:
-        return GradedModulePresentation(GradedFreeModule(ring, ()), [], "Ext^%d" % i)
+        return SubmodulePresentation(GradedFreeModule(ring, ()), [])
     Fi_dual = res.modules[i].dual()
     if i < res.length:
         next_cols = _dual_columns(res, i + 1)
@@ -43,7 +43,7 @@ def _ext_from_resolution(res, i):
     else:
         kernel = [Fi_dual.basis_vector(j) for j in range(Fi_dual.rank)]
     if not kernel:
-        return GradedModulePresentation(GradedFreeModule(ring, ()), [], "Ext^%d" % i)
+        return SubmodulePresentation(GradedFreeModule(ring, ()), [])
     image = _dual_columns(res, i) if i >= 1 else []
     kernel_twists = tuple(v.degree() for v in kernel)
     stacked = list(kernel) + list(image)
@@ -55,7 +55,7 @@ def _ext_from_resolution(res, i):
         head = PolyVector(ambient, s.components[: len(kernel)])
         if not head.is_zero():
             relations.append(head)
-    return GradedModulePresentation(ambient, relations, "Ext^%d" % i)
+    return SubmodulePresentation(ambient, relations)
 
 
 def ext_modules(pres, top_index=None):
@@ -73,21 +73,11 @@ def hilbert_function(pres, window):
     """Exact dimensions of the graded pieces of a module presentation on a
     finite window, by standard-monomial counting against the initial module
     of the relations."""
-    if isinstance(pres, GradedModulePresentation):
-        ambient, relations = pres.ambient, pres.relations
-    else:
-        ambient, relations = pres.ambient, pres.generators
+    ambient = pres.ambient
     if ambient.rank == 0:
         return zero_table(window)
-    ring = ambient.ring
-    if relations:
-        from .modules import SubmodulePresentation
-
-        G = buchberger(SubmodulePresentation(ambient, relations))
-        leads = G.leads
-    else:
-        leads = []
-    return hilbert_from_leads(ring, ambient.rank, ambient.twists, leads, window)
+    leads = buchberger(pres).leads if pres.generators else []
+    return hilbert_from_leads(ambient.ring, ambient.rank, ambient.twists, leads, window)
 
 
 def local_cohomology_hilbert(pres, i, window, permissive=False):

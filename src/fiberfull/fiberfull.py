@@ -20,8 +20,6 @@ locus polynomial is the monic lcm of all certificate annihilators; its
 nonvanishing set is exactly the set of good fibers.
 """
 
-import os
-import random
 from dataclasses import dataclass
 
 from .errors import InvalidArgumentError, TheoremViolationError
@@ -39,11 +37,6 @@ from .groebner import (
 from .modules import GradedFreeModule, PolyVector, SubmodulePresentation
 from .orders import TermOrder
 from .resolution import betti_table, depth_and_regularity, free_resolution
-
-
-def rng_from_env():
-    """Deterministic RNG; FIBERFULL_SEED overrides the default seed."""
-    return random.Random(int(os.environ.get("FIBERFULL_SEED", "0")))
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +204,6 @@ def parameter_torsion(pres):
     generators of the saturation of the relations at the leading-content
     polynomial, reduced to normal form, plus the monic annihilator obtained
     by contracting the colon ideal to the parameter."""
-    if isinstance(pres, SubmodulePresentation):
-        pres = pres.as_quotient("module")
     ring = pres.ring
     if not ring.has_parameter:
         raise InvalidArgumentError("parameter torsion needs a ring with a parameter")
@@ -220,8 +211,7 @@ def parameter_torsion(pres):
     index = None
     if pres.ambient.rank == 0:
         return TorsionCertificate(index, (), one)
-    sub = SubmodulePresentation(pres.ambient, pres.relations)
-    G = buchberger(sub, TermOrder.block_x_over_t())
+    G = buchberger(pres, TermOrder.block_x_over_t())
     if len(G) == 0:
         return TorsionCertificate(index, (), one)
     h = _leading_parameter_content(G)

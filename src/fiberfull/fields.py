@@ -93,6 +93,9 @@ class PrimeField:
 
     def coerce(self, x):
         if isinstance(x, Fraction):
+            if x.denominator % self.p == 0:
+                raise InvalidFieldError(
+                    "coefficient %s has a denominator divisible by %d" % (x, self.p))
             return self.mul(x.numerator % self.p, self.inv(x.denominator % self.p))
         return x % self.p
 

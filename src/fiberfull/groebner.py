@@ -227,17 +227,21 @@ def _interreduce(basis, morder, field, ring, twists):
 
 
 class GroebnerBasis:
-    """Reduced marked basis of a submodule of a graded free module."""
+    """Reduced marked basis of a submodule of a graded free module.
 
-    __slots__ = ("module", "ring_order", "module_order", "elements", "leads", "reduced")
+    Keeps the marked term vectors the engine produced (``marked``), so
+    division and syzygies reuse their order keys; ``elements`` and ``leads``
+    are derived from them once."""
 
-    def __init__(self, module, ring_order, module_order, elements, leads, reduced=True):
+    __slots__ = ("module", "ring_order", "module_order", "marked", "elements", "leads")
+
+    def __init__(self, module, ring_order, module_order, marked):
         self.module = module
         self.ring_order = ring_order
         self.module_order = module_order
-        self.elements = tuple(elements)
-        self.leads = tuple(leads)
-        self.reduced = reduced
+        self.marked = tuple(marked)
+        self.elements = tuple(_tv_to_vector(b.tv, module) for b in self.marked)
+        self.leads = tuple(b.lead_mm for b in self.marked)
 
     @property
     def ring(self):
@@ -256,15 +260,6 @@ class GroebnerBasis:
         return "GroebnerBasis(%d elements, %s)" % (len(self.elements), self.ring_order.describe())
 
 
-def _marked_from_basis(G):
-    field = G.ring.field
-    twists = G.module.twists
-    return [
-        _mark(_tv_from_vector(v, G.module_order), field, G.ring, twists)
-        for v in G.elements
-    ]
-
-
 def buchberger(pres, order=None, module_order=None):
     """Reduced Groebner basis of the submodule spanned by the generators."""
     ring = pres.ring
@@ -273,13 +268,7 @@ def buchberger(pres, order=None, module_order=None):
     twists = pres.ambient.twists
     tvs = [_tv_from_vector(v, morder) for v in pres.generators]
     marked = gb_engine(tvs, morder, ring.field, ring, twists, pres.ambient.rank)
-    elements = [_tv_to_vector(b.tv, pres.ambient) for b in marked]
-    leads = [b.lead_mm for b in marked]
-    return GroebnerBasis(pres.ambient, order, morder, elements, leads, True)
-
-
-def groebner_ideal(ring, polys, order=None):
-    return buchberger(SubmodulePresentation.ideal(ring, polys), order)
+    return GroebnerBasis(pres.ambient, order, morder, marked)
 
 
 def normal_form(v, G):
@@ -288,8 +277,7 @@ def normal_form(v, G):
     if v.module != G.module:
         raise OrderMismatchError("vector and basis live in different modules")
     tv = _tv_from_vector(v, G.module_order)
-    marked = _marked_from_basis(G)
-    rem = _tv_normal_form(tv, marked, G.module_order, G.ring.field)
+    rem = _tv_normal_form(tv, G.marked, G.module_order, G.ring.field)
     return _tv_to_vector(rem, G.module)
 
 
@@ -365,10 +353,9 @@ def _schreyer_level(marked, morder, field, ring, parent_twists):
 def syzygies(G):
     """Generators of the syzygy module of a reduced basis, homogeneous for
     the induced twists (degree of each basis element)."""
-    marked = _marked_from_basis(G)
     ring = G.ring
     level, _, element_degrees, _ = _schreyer_level(
-        marked, G.module_order, ring.field, ring, G.module.twists)
+        G.marked, G.module_order, ring.field, ring, G.module.twists)
     ambient = GradedFreeModule(ring, element_degrees)
     # Schreyer-key term vectors sort differently from canonical form;
     # conversion re-sorts per component
@@ -549,7 +536,7 @@ def homogenize_omega(source, omega, order=None):
     ring = G.ring
     if ring.has_parameter:
         raise InvalidArgumentError("input ideal must live in a parameter-free ring")
-    if pres_rank(G) != 1:
+    if G.module.rank != 1:
         raise InvalidArgumentError("homogenization is defined for ideals")
     omega = tuple(omega)
     if len(omega) != ring.num_positive:
@@ -575,9 +562,3 @@ def homogenize_omega(source, omega, order=None):
             raise WeightVectorMismatchError("t=1 specialization failed for %s" % g)
         out.append(hom)
     return SubmodulePresentation.ideal(tring, out)
-
-
-def pres_rank(source):
-    if isinstance(source, GroebnerBasis):
-        return source.module.rank
-    return source.ambient.rank

@@ -1,9 +1,10 @@
 """Graded free modules with twists, their elements, and module presentations.
 
 A ``GradedFreeModule`` is a direct sum of twisted copies of the ring; the
-``twists`` list records the degree of each basis element.  A quotient module
-is represented by a ``SubmodulePresentation``: ambient free module plus a
-list of homogeneous generators of the submodule of relations.
+``twists`` list records the degree of each basis element.  Every module
+presentation, a submodule or the quotient by it, including each Ext module,
+is a ``SubmodulePresentation``: ambient free module plus homogeneous
+generators.  ``relations`` is the quotient-side name of the generators.
 """
 
 from .errors import InvalidArgumentError, RingMismatchError
@@ -133,8 +134,9 @@ class PolyVector:
 
 
 class SubmodulePresentation:
-    """Ambient free module together with homogeneous generators; stands for
-    the quotient ambient/<generators> unless used as a plain submodule."""
+    """Ambient free module together with homogeneous generators.  It stands
+    for the submodule they span or for the quotient ambient/<generators>;
+    on the quotient side the generators are its relations."""
 
     __slots__ = ("ambient", "generators")
 
@@ -157,8 +159,13 @@ class SubmodulePresentation:
     def ring(self):
         return self.ambient.ring
 
-    def as_quotient(self, provenance="subquotient"):
-        return GradedModulePresentation(self.ambient, self.generators, provenance)
+    @property
+    def relations(self):
+        return self.generators
+
+    def as_quotient(self):
+        """The presentation already stands for its quotient."""
+        return self
 
     def __eq__(self, other):
         return (
@@ -169,32 +176,3 @@ class SubmodulePresentation:
 
     def __repr__(self):
         return "SubmodulePresentation(rank=%d, gens=%d)" % (self.ambient.rank, len(self.generators))
-
-
-class GradedModulePresentation:
-    """A graded module given as ambient/<relations>, tagged with provenance
-    (e.g. which Ext it presents)."""
-
-    __slots__ = ("ambient", "relations", "provenance")
-
-    def __init__(self, ambient, relations, provenance="subquotient"):
-        rels = []
-        for g in relations:
-            if g.module != ambient:
-                raise RingMismatchError("relation outside the ambient module")
-            if not g.is_zero():
-                rels.append(g)
-        self.ambient = ambient
-        self.relations = tuple(rels)
-        self.provenance = provenance
-
-    @property
-    def ring(self):
-        return self.ambient.ring
-
-    def is_zero_module(self):
-        return self.ambient.rank == 0
-
-    def __repr__(self):
-        return "GradedModulePresentation(%s, rank=%d, rels=%d)" % (
-            self.provenance, self.ambient.rank, len(self.relations))

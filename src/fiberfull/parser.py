@@ -16,10 +16,10 @@ carry line and column.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ParseError
 from .fields import GF, QQ
+from .orders import order_from_string
 from .rings import GradedRing, make_ring
 
 _PUNCT = "(),;=^*+-/:"
@@ -216,7 +216,7 @@ class ProblemSpec:
         names = self.ring.names[:-1] if self.ring.has_parameter else self.ring.names
         ring = make_ring(self.ring.weights, self.ring.has_parameter, field, names)
         gens = tuple(
-            ring.poly([(m, _move_coeff(c, field)) for m, c in g.terms])
+            ring.poly([(m, field.coerce(c)) for m, c in g.terms])
             for g in self.generators
         )
         return ProblemSpec(ring, self.ring_name, self.ideal_name, gens,
@@ -243,12 +243,6 @@ class ProblemSpec:
         if self.output is not None:
             lines.append('output "%s";' % self.output)
         return "\n".join(lines) + "\n"
-
-
-def _move_coeff(c, field):
-    if isinstance(c, Fraction) and field.p is not None:
-        return field.coerce(c)
-    return field.coerce(c)
 
 
 def _parse_name_list(cur):
@@ -364,7 +358,7 @@ def parse_input(text):
                     nums.append(str(_parse_int(cur)))
                 spec += ":" + ",".join(nums)
             try:
-                order = order_from_text(spec)
+                order = order_from_string(spec)
             except Exception as exc:
                 raise ParseError(str(exc), tok.line, tok.col)
             cur.expect(";", "';'")
@@ -395,9 +389,3 @@ def parse_input(text):
         generators = ()
         ideal_name = ideal_name or "I"
     return ProblemSpec(ring, ring_name, ideal_name, generators, order, window, command, output)
-
-
-def order_from_text(spec):
-    from .orders import order_from_string
-
-    return order_from_string(spec)

@@ -9,7 +9,7 @@ keeps iterated syzygy chains short.
 """
 
 from .errors import InvalidArgumentError
-from .groebner import _marked_from_basis, _schreyer_level, _tv_to_vector, buchberger
+from .groebner import _schreyer_level, _tv_to_vector, buchberger
 from .hilbert import monomial_quotient_dimension
 from .modules import GradedFreeModule, PolyVector
 from .orders import SchreyerOrder
@@ -84,10 +84,9 @@ def free_resolution(pres, minimize=True):
     if len(G) == 0:
         return Resolution([F0], [], True)
 
-    marked = _marked_from_basis(G)
     morder = G.module_order
     twists = tuple(v.degree() for v in G.elements)
-    marked, twists = _sorted_level(marked, twists, ring)
+    marked, twists = _sorted_level(G.marked, twists, ring)
 
     modules = [F0]
     diffs = []
@@ -263,9 +262,7 @@ def depth_and_regularity(table, num_vars):
 
 def krull_dimension(pres):
     """Dimension of ambient/<gens> via the initial module."""
-    from .groebner import buchberger as _b
-
-    G = _b(pres)
+    G = buchberger(pres)
     ring = pres.ring
     leads_by_comp = {}
     for mon, comp in G.leads:

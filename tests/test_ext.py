@@ -140,12 +140,18 @@ def test_double_dual_of_finite_length_module():
         pres = ideal_from_strings(R, gens)
         res = free_resolution(pres, minimize=False)
         ext_r = _ext_from_resolution(res, r)
-        res2 = free_resolution(
-            SubmodulePresentation(ext_r.ambient, ext_r.relations), minimize=False)
+        res2 = free_resolution(ext_r, minimize=False)
         double = _ext_from_resolution(res2, r)
         original = hilbert_function(pres.as_quotient(), (0, 4))
         again = hilbert_function(double, (0, 4))
         assert original == again
+
+
+def test_ext_presentation_is_a_submodule_presentation():
+    ext = ext_modules(twisted_cubic())[1]
+    assert isinstance(ext, SubmodulePresentation)
+    assert ext.relations == ext.generators
+    assert ext.as_quotient() is ext
 
 
 def test_tables_share_resolution():

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from fiberfull import GF, ParseError, parse_input
+from fiberfull import GF, InvalidFieldError, ParseError, parse_input
 from fixtures import PARSER_CORPUS
 
 CLI = [sys.executable, "-m", "fiberfull.cli"]
@@ -66,6 +66,13 @@ def test_with_field_moves_generators():
     # -1/2 becomes -inverse(2) = 3 mod 7
     cubic = moved.generators[1]
     assert cubic.coefficient((0, 1, 2)) == 3
+
+
+def test_with_field_rejects_denominator_divisible_by_p():
+    spec = parse_input("ring S vars (x,y) weights (1,1) field QQ; ideal I = (x*y - 1/7*x^2);")
+    with pytest.raises(InvalidFieldError) as err:
+        spec.with_field(GF(7))
+    assert "-1/7" in str(err.value)
 
 
 def _write(tmp_path, name, text):
@@ -156,3 +163,25 @@ def test_cli_json_out_writes_identical_bytes(tmp_path):
     out = _run(["betti", path, "--json-out", str(target)])
     assert out.returncode == 0
     assert target.read_bytes() == out.stdout
+
+
+def test_cli_flag_errors_are_usage_errors(tmp_path):
+    path = _write(tmp_path, "conic.ring",
+                  "ring S vars (x,y,z) weights (1,1,1) field QQ;\nideal I = (x*z - y^2);\n")
+    for args in (["gb", path, "--bogus"], ["localcohom", path], ["gb"], ["gb", path, "--threads", "2"]):
+        out = _run(args)
+        assert out.returncode == 1, args
+        payload = json.loads(out.stdout)
+        assert payload["error"]["kind"] == "usage", args
+    assert _run(["gb", "--help"]).returncode == 0
+
+
+def test_cli_denominator_divisible_by_p_is_invalid_field(tmp_path):
+    path = _write(tmp_path, "bad.ring",
+                  "ring S vars (x,y) weights (1,1) field QQ;\nideal I = (x*y - 1/32003*x^2);\n")
+    for args in (["cv-verify", path], ["gb", path, "--field", "Fp:32003"]):
+        out = _run(args)
+        assert out.returncode == 1, args
+        payload = json.loads(out.stdout)
+        assert payload["error"]["kind"] == "invalid-field", args
+        assert "-1/32003" in payload["error"]["message"]
