@@ -17,7 +17,7 @@ from fiberfull import (
 
 def show(name, pres):
     r = pres.ring.num_positive
-    res = free_resolution(pres, minimize=True)
+    res = free_resolution(pres)
     print("\n--", name, "--")
     print("ranks:", res.ranks())
     print("twists:", [list(m.twists) for m in res.modules])
@@ -42,9 +42,8 @@ show("4-cycle of square-free monomials",
      SubmodulePresentation.ideal(R4, [R4.parse(s) for s in
                                       ("x*y", "y*z", "z*w", "w*x")]))
 
-# A non-minimal resolution keeps the raw iterated-syzygy shape; minimization
-# strips every unit entry and shrinks the ranks.
-pres = SubmodulePresentation.ideal(R4, [R4.parse(s) for s in
-                                        ("x*z - y^2", "x*w - y*z", "y*w - z^2")])
-raw = free_resolution(pres, minimize=False)
-print("\nnon-minimal ranks:", raw.ranks(), "-> minimal:", free_resolution(pres).ranks())
+# Over k[t][x] the resolution is the unminimized Schreyer frame: degree-0
+# entries need not be units there, so it has no Betti table.
+Rt = make_ring([1, 1], True, names=["x", "y"])
+frame = free_resolution(SubmodulePresentation.ideal(Rt, [Rt.parse("t*x"), Rt.parse("x*y")]))
+print("\nover k[t][x]: ranks", frame.ranks(), "minimal:", frame.minimal)

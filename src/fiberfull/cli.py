@@ -18,7 +18,13 @@ import argparse
 import json
 import sys
 
-from .errors import AlgebraError, ParseError, TheoremViolationError, UnknownCommandError
+from .errors import (
+    AlgebraError,
+    InvalidFieldError,
+    ParseError,
+    TheoremViolationError,
+    UnknownCommandError,
+)
 from .ext import hilbert_function, local_cohomology_hilbert
 from .fields import GF, QQ
 from .fiberfull import fiber_full_check, fiber_full_locus, verify_degeneration
@@ -50,7 +56,7 @@ def _build_flag_parser(command):
     p.add_argument("input", help="problem file, or - for stdin")
     p.add_argument("--order", default=None, help="lex | grevlex | block-x-over-t | weights:<csv>")
     p.add_argument("--field", default=None, help="QQ | Fp:<p>")
-    p.add_argument("--window", default=None, help="<lo>:<hi>")
+    p.add_argument("--window", default=None, type=_parse_window, help="<lo>:<hi>")
     p.add_argument("--json-out", default=None, help="also write the report to this path")
     p.add_argument("--csv", action="store_true", help="emit CSV for Hilbert/Betti tables")
     if command == "localcohom":
@@ -61,22 +67,23 @@ def _build_flag_parser(command):
 
 
 def _parse_window(text):
+    """argparse type of --window; a bad value becomes a usage error."""
     lo, _, hi = text.partition(":")
     try:
         window = (int(lo), int(hi))
     except ValueError:
-        raise AlgebraError("bad window %r, expected <lo>:<hi>" % text)
+        raise argparse.ArgumentTypeError("bad window %r, expected <lo>:<hi>" % text)
     if window[0] > window[1]:
-        raise AlgebraError("window bounds out of order")
+        raise argparse.ArgumentTypeError("window bounds out of order in %r" % text)
     return window
 
 
 def _parse_field(text):
     if text == "QQ":
         return QQ
-    if text.startswith("Fp:"):
+    if text.startswith("Fp:") and text[3:].isdigit():
         return GF(int(text[3:]))
-    raise AlgebraError("bad field %r, expected QQ or Fp:<p>" % text)
+    raise InvalidFieldError("bad field %r, expected QQ or Fp:<p>" % text)
 
 
 def _ring_json(ring):
@@ -108,9 +115,7 @@ def _load(command, args):
         order = order_from_string(args.order)
     if order is None:
         order = TermOrder.grevlex()
-    window = spec.window
-    if args.window is not None:
-        window = _parse_window(args.window)
+    window = args.window or spec.window
     if window is None:
         window = (-spec.ring.delta - 10, 10)
     return spec, order, window
@@ -138,7 +143,7 @@ def run_command(command, args):
         report["basis"] = [str(v.components[0]) for v in G.elements]
         report["leading_terms"] = [str(v.components[0]) for v in init.generators]
     elif command == "resolve":
-        res = free_resolution(pres, minimize=not spec.ring.has_parameter)
+        res = free_resolution(pres)
         report["minimal"] = res.minimal
         report["length"] = res.length
         report["ranks"] = res.ranks()
@@ -148,8 +153,7 @@ def run_command(command, args):
             for k, cols in enumerate(res.diffs)
         ]
     elif command == "betti":
-        res = free_resolution(pres, minimize=True)
-        table = betti_table(res)
+        table = betti_table(free_resolution(pres))
         depth, reg = depth_and_regularity(table, spec.ring.num_positive)
         report["betti"] = table.to_json_dict()
         report["depth"] = depth

@@ -62,10 +62,9 @@ def ext_modules(pres, top_index=None):
     """Presentations of Ext^i(ambient/<gens>, ring) for i = 0..top_index
     (default: the number of positive-degree variables).  Indices beyond the
     resolution length give zero modules."""
-    ring = pres.ring
     if top_index is None:
-        top_index = ring.num_positive
-    res = free_resolution(pres, minimize=False)
+        top_index = pres.ring.num_positive
+    res = free_resolution(pres)
     return [_ext_from_resolution(res, i) for i in range(top_index + 1)]
 
 
@@ -80,45 +79,44 @@ def hilbert_function(pres, window):
     return hilbert_from_leads(ambient.ring, ambient.rank, ambient.twists, leads, window)
 
 
+def _field_base_rank(ring):
+    """r for a parameter-free ring; local cohomology is taken over a field."""
+    if ring.has_parameter:
+        raise InvalidArgumentError(
+            "local cohomology tables need a parameter-free ring; specialize first")
+    return ring.num_positive
+
+
 def local_cohomology_hilbert(pres, i, window, permissive=False):
     """Hilbert table of the i-th graded local cohomology of ambient/<gens>
     supported at the ideal of positive-degree variables, over a field base.
 
     Computed as the base dual of Ext^{r-i} twisted by -delta; vanishes for
     i > r (returned as a zero table only when ``permissive``)."""
-    ring = pres.ring
-    if ring.has_parameter:
-        raise InvalidArgumentError(
-            "local cohomology tables need a parameter-free ring; specialize first")
-    r = ring.num_positive
+    r = _field_base_rank(pres.ring)
     if i < 0:
         raise IndexError("negative cohomological index")
     if i > r:
         if permissive:
             return zero_table(window)
         raise IndexError("cohomological index %d exceeds the variable count %d" % (i, r))
-    res = free_resolution(pres, minimize=False)
-    ext = _ext_from_resolution(res, r - i)
-    return _dual_table(ext, window, ring.delta)
+    return _tables_from_resolution(free_resolution(pres), window, (i,))[0]
 
 
-def _dual_table(ext_pres, window, delta):
-    lo, hi = window
-    inner = hilbert_function(ext_pres, (-hi - delta, -lo - delta))
-    dims = {nu: inner.dims[-nu - delta] for nu in range(lo, hi + 1)}
-    return HilbertTable(window, dims)
-
-
-def local_cohomology_tables(pres, window, permissive=False):
+def local_cohomology_tables(pres, window):
     """All tables H^0..H^r at once, sharing one resolution."""
-    ring = pres.ring
-    if ring.has_parameter:
-        raise InvalidArgumentError(
-            "local cohomology tables need a parameter-free ring; specialize first")
-    r = ring.num_positive
-    res = free_resolution(pres, minimize=False)
+    r = _field_base_rank(pres.ring)
+    return _tables_from_resolution(free_resolution(pres), window, range(r + 1))
+
+
+def _tables_from_resolution(res, window, indices):
+    """Tables of H^i for the given indices, each the base dual of
+    Ext^{r-i} read off the one resolution ``res``."""
+    ring = res.ring
+    r, delta = ring.num_positive, ring.delta
+    lo, hi = window
     out = []
-    for i in range(r + 1):
-        ext = _ext_from_resolution(res, r - i)
-        out.append(_dual_table(ext, window, ring.delta))
+    for i in indices:
+        inner = hilbert_function(_ext_from_resolution(res, r - i), (-hi - delta, -lo - delta))
+        out.append(HilbertTable(window, {nu: inner.dims[-nu - delta] for nu in range(lo, hi + 1)}))
     return out

@@ -23,7 +23,7 @@ nonvanishing set is exactly the set of good fibers.
 from dataclasses import dataclass
 
 from .errors import InvalidArgumentError, TheoremViolationError
-from .ext import ext_modules, local_cohomology_tables
+from .ext import _tables_from_resolution, ext_modules, local_cohomology_hilbert
 from .groebner import (
     buchberger,
     contract_to_parameter,
@@ -208,15 +208,14 @@ def parameter_torsion(pres):
     if not ring.has_parameter:
         raise InvalidArgumentError("parameter torsion needs a ring with a parameter")
     one = ring.one()
-    index = None
     if pres.ambient.rank == 0:
-        return TorsionCertificate(index, (), one)
+        return TorsionCertificate(None, (), one)
     G = buchberger(pres, TermOrder.block_x_over_t())
     if len(G) == 0:
-        return TorsionCertificate(index, (), one)
+        return TorsionCertificate(None, (), one)
     h = _leading_parameter_content(G)
     if h.is_constant():
-        return TorsionCertificate(index, (), one)
+        return TorsionCertificate(None, (), one)
     sat = saturate(SubmodulePresentation(pres.ambient, G.elements), h)
     torsion = []
     for v in sat.generators:
@@ -224,9 +223,9 @@ def parameter_torsion(pres):
         if not nf.is_zero():
             torsion.append(nf)
     if not torsion:
-        return TorsionCertificate(index, (), one)
+        return TorsionCertificate(None, (), one)
     g = _torsion_annihilator(G, torsion)
-    return TorsionCertificate(index, tuple(torsion), g)
+    return TorsionCertificate(None, tuple(torsion), g)
 
 
 def _torsion_annihilator(G, torsion):
@@ -320,7 +319,6 @@ def fiber_full_check(pres, at=0):
         raise InvalidArgumentError("fiber-fullness is checked over a parameter ring")
     r = ring.num_positive
     module_cert = parameter_torsion(pres)
-    module_cert = TorsionCertificate(None, module_cert.torsion_generators, module_cert.annihilator)
     exts = ext_modules(pres, top_index=r)
     verdicts = []
     for i, ext in enumerate(exts):
@@ -376,8 +374,6 @@ def fiber_hilbert_compare(pres, points, i, window):
     """Local cohomology tables of the fibers at the given points ("generic"
     resolves to the smallest good integer point).  Inside the fiber-full
     locus these tables agree."""
-    from .ext import local_cohomology_hilbert
-
     resolved = []
     for c in points:
         resolved.append(generic_point(pres) if c == "generic" else c)
@@ -462,12 +458,14 @@ def verify_degeneration(pres, order, window):
     family = homogenize_omega(G, omega)
     ff = fiber_full_check(family, at=0)
 
-    tables_ideal = local_cohomology_tables(pres, window)
-    tables_init = local_cohomology_tables(init, window)
+    res_ideal = free_resolution(pres)
+    res_init = free_resolution(init)
+    tables_ideal = _tables_from_resolution(res_ideal, window, range(r + 1))
+    tables_init = _tables_from_resolution(res_init, window, range(r + 1))
     equal = all(a == b for a, b in zip(tables_ideal, tables_init))
 
-    bt_ideal = betti_table(free_resolution(pres, minimize=True))
-    bt_init = betti_table(free_resolution(init, minimize=True))
+    bt_ideal = betti_table(res_ideal)
+    bt_init = betti_table(res_init)
     depth_i, reg_i = depth_and_regularity(bt_ideal, r)
     depth_0, reg_0 = depth_and_regularity(bt_init, r)
 

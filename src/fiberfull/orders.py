@@ -56,15 +56,12 @@ class TermOrder:
         return TermOrder("block-x-over-t")
 
     def key(self, ring, mon):
-        r = len(ring.weights)
         if self.kind == "lex":
             return mon
         if self.kind in ("grevlex", "block-x-over-t"):
-            if ring.has_parameter:
-                x = mon[:r]
-                return (ring.degree(mon), tuple(-e for e in reversed(x)), mon[r])
-            return (ring.degree(mon), tuple(-e for e in reversed(mon)))
+            return ring.canonical_key(mon)
         # weight-refined
+        r = len(ring.weights)
         if len(self.omega) != r:
             raise OrderMismatchError(
                 "weight vector has %d entries for a ring with %d positive-degree variables"

@@ -7,8 +7,6 @@ Grammar (whitespace-insensitive, statements end with ';'):
     ideal <name> = ( <poly>, ..., <poly> ) ;
     order (lex | grevlex | block-x-over-t | weights:<w1>,...,<wr>) ;
     window <lo>:<hi> ;
-    command <name> ;
-    output "<path>" ;
 
 Polynomials use exact integer or rational literals (``a/b``), ``*`` for
 products, ``^`` for powers, and the declared variable names.  Diagnostics
@@ -207,8 +205,6 @@ class ProblemSpec:
     generators: tuple
     order: object = None
     window: tuple = None
-    command: str = None
-    output: str = None
 
     def with_field(self, field):
         if field == self.ring.field:
@@ -220,7 +216,7 @@ class ProblemSpec:
             for g in self.generators
         )
         return ProblemSpec(ring, self.ring_name, self.ideal_name, gens,
-                           self.order, self.window, self.command, self.output)
+                           self.order, self.window)
 
     def to_text(self):
         ring = self.ring
@@ -238,10 +234,6 @@ class ProblemSpec:
             lines.append("order %s;" % self.order.describe())
         if self.window is not None:
             lines.append("window %d:%d;" % self.window)
-        if self.command is not None:
-            lines.append("command %s;" % self.command)
-        if self.output is not None:
-            lines.append('output "%s";' % self.output)
         return "\n".join(lines) + "\n"
 
 
@@ -320,8 +312,6 @@ def parse_input(text):
     generators = None
     order = None
     window = None
-    command = None
-    output = None
     while cur.peek().kind != "EOF":
         tok = cur.expect("NAME", "a statement keyword")
         if tok.text == "ring":
@@ -370,17 +360,6 @@ def parse_input(text):
                 raise ParseError("window bounds out of order", tok.line, tok.col)
             window = (lo, hi)
             cur.expect(";", "';'")
-        elif tok.text == "command":
-            parts = [cur.expect("NAME", "a command name").text]
-            while cur.peek().kind == "-":
-                cur.next()
-                parts.append(cur.expect("NAME", "a command name part").text)
-            command = "-".join(parts)
-            cur.expect(";", "';'")
-        elif tok.text == "output":
-            stok = cur.expect("STRING", "a quoted path")
-            output = stok.text
-            cur.expect(";", "';'")
         else:
             raise ParseError("unknown statement %r" % tok.text, tok.line, tok.col)
     if ring is None:
@@ -388,4 +367,4 @@ def parse_input(text):
     if generators is None:
         generators = ()
         ideal_name = ideal_name or "I"
-    return ProblemSpec(ring, ring_name, ideal_name, generators, order, window, command, output)
+    return ProblemSpec(ring, ring_name, ideal_name, generators, order, window)

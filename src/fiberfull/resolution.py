@@ -67,22 +67,28 @@ def _sorted_level(marked, twists, ring):
     return [marked[i] for i in order], tuple(twists[i] for i in order)
 
 
-def free_resolution(pres, minimize=True):
-    """Graded free resolution of ambient/<generators> by iterated syzygies;
-    when ``minimize`` is set (parameter-free rings only), unit entries are
-    pruned so the Betti numbers are minimal."""
+def free_resolution(pres):
+    """The graded free resolution of ambient/<generators>.  It is minimal
+    exactly when the ring has no parameter: unit entries of the Schreyer
+    frame are pruned.  Over k[t][x] minimality is not defined and the frame
+    itself is returned."""
+    res = _schreyer_frame(pres)
+    if not res.ring.has_parameter:
+        _minimize_in_place(res)
+        res.minimal = True
+    return res
+
+
+def _schreyer_frame(pres):
+    """The unminimized resolution by iterated Schreyer syzygies."""
     ring = pres.ring
-    if minimize and ring.has_parameter:
-        raise InvalidArgumentError(
-            "minimization over a ring with a degree-0 parameter is not defined; "
-            "resolve with minimize=False")
     for g in pres.generators:
         if not g.is_homogeneous():
             raise InvalidArgumentError("resolution requires homogeneous generators")
     F0 = pres.ambient
     G = buchberger(pres)
     if len(G) == 0:
-        return Resolution([F0], [], True)
+        return Resolution([F0], [], False)
 
     morder = G.module_order
     twists = tuple(v.degree() for v in G.elements)
@@ -104,11 +110,7 @@ def free_resolution(pres, minimize=True):
         parent_twists = twists
         marked, twists = _sorted_level(syz_marked, syz_twists, ring)
 
-    res = Resolution(modules, diffs, False)
-    if minimize:
-        _minimize_in_place(res)
-        res.minimal = True
-    return res
+    return Resolution(modules, diffs, False)
 
 
 def _to_matrices(res):
@@ -238,7 +240,9 @@ def betti_table(res):
     """Graded Betti numbers of a minimal resolution: a twist tau in
     homological position i contributes to beta_{i, tau}."""
     if not res.minimal:
-        raise InvalidArgumentError("Betti numbers need a minimal resolution")
+        raise InvalidArgumentError(
+            "Betti numbers need a minimal resolution, which exists only over a "
+            "parameter-free ring")
     entries = {}
     for i, module in enumerate(res.modules):
         for tau in module.twists:

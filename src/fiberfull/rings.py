@@ -9,6 +9,7 @@ exponent as final tiebreaker), which makes equality structural.
 """
 
 from fractions import Fraction
+from operator import mul, neg
 
 from .errors import InvalidArgumentError, InvalidGradingError, RingMismatchError
 from .fields import QQ
@@ -77,15 +78,14 @@ class GradedRing:
         return len(self.weights)
 
     def degree(self, mon):
-        return sum(w * e for w, e in zip(self.weights, mon))
+        return sum(map(mul, self.weights, mon))
 
     def canonical_key(self, mon):
         """Grevlex on the positive-degree part, parameter exponent last."""
-        r = len(self.weights)
         if self.has_parameter:
-            x = mon[:r]
-            return (self.degree(mon), tuple(-e for e in reversed(x)), mon[r])
-        return (self.degree(mon), tuple(-e for e in reversed(mon)))
+            r = len(self.weights)
+            return (self.degree(mon), tuple(map(neg, reversed(mon[:r]))), mon[r])
+        return (self.degree(mon), tuple(map(neg, reversed(mon))))
 
     def one_monomial(self):
         return (0,) * self.nvars

@@ -88,10 +88,10 @@ PARSER_CORPUS = [
     "ideal I = (x*z - y^2, x^3 - 1/2*y*z^2);\norder lex;\nwindow -10:5;\n",
     "ring R vars (x1,x2) weights (2,1) field Fp 32003;\nideal J = (x1 - x2^2);\n",
     "ring R vars (x,y) weights (1,1) field QQ param t;\n"
-    "ideal M = (t*x, x*y - t^2*y^2);\ncommand locus;\n",
+    "ideal M = (t*x, x*y - t^2*y^2);\n",
     "ring A vars (u,v,w) weights (1,2,3) field QQ;\nideal H = (u^6 - v^3 + u*w - w^2);\n"
     "order weights:1,2,2;\n",
     "ring B vars (x,y,z,w) weights (1,1,1,1) field QQ;\n"
     "ideal TC = (x*z - y^2, x*w - y*z, y*w - z^2);\norder grevlex;\n"
-    "window -8:4;\ncommand cv-verify;\noutput \"report.json\";\n",
+    "window -8:4;\n",
 ]

@@ -102,12 +102,12 @@ def test_criterion_3_macaulay_consistency():
 
 def test_criterion_4_resolution_properties():
     R2v = ring2()
-    koszul = free_resolution(ideal_from_strings(R2v, ("x", "y")), minimize=True)
+    koszul = free_resolution(ideal_from_strings(R2v, ("x", "y")))
     assert koszul.ranks() == [1, 2, 1]
     assert koszul.check_complex()
 
     cubic_pres = twisted_cubic()
-    cubic = free_resolution(cubic_pres, minimize=True)
+    cubic = free_resolution(cubic_pres)
     assert cubic.ranks() == [1, 3, 2]
     assert cubic.check_complex()
     bt = betti_table(cubic)

@@ -16,7 +16,15 @@ from fiberfull import (
     make_ring,
 )
 from fiberfull.ext import _ext_from_resolution
-from fixtures import ideal_from_strings, ring2, ring3, squarefree_presentations, twisted_cubic
+from fiberfull.resolution import _schreyer_frame
+from fixtures import (
+    ideal_from_strings,
+    ring2,
+    ring3,
+    ring4,
+    squarefree_presentations,
+    twisted_cubic,
+)
 
 
 def test_ext_of_free_module():
@@ -95,7 +103,7 @@ def test_vanishing_above_regularity():
     window = (-8, 6)
     for pres in (twisted_cubic(), ideal_from_strings(ring3(), ("x*z - y^2",))):
         r = pres.ring.num_positive
-        bt = betti_table(free_resolution(pres, minimize=True))
+        bt = betti_table(free_resolution(pres))
         _, reg = depth_and_regularity(bt, r)
         for i in range(r + 1):
             tab = local_cohomology_hilbert(pres, i, window)
@@ -108,7 +116,7 @@ def test_depth_dimension_sandwich():
     window = (-8, 2)
     for _, pres in squarefree_presentations()[:12]:
         r = pres.ring.num_positive
-        bt = betti_table(free_resolution(pres, minimize=True))
+        bt = betti_table(free_resolution(pres))
         depth, _ = depth_and_regularity(bt, r)
         dim = krull_dimension(pres)
         nonzero = [
@@ -124,7 +132,7 @@ def test_depth_dimension_sandwich():
 def test_min_nonzero_index_is_depth_nonmonomial():
     for pres in (twisted_cubic(), ideal_from_strings(ring3(), ("x*z - y^2",))):
         r = pres.ring.num_positive
-        bt = betti_table(free_resolution(pres, minimize=True))
+        bt = betti_table(free_resolution(pres))
         depth, _ = depth_and_regularity(bt, r)
         nonzero = [
             i for i in range(r + 1)
@@ -138,9 +146,9 @@ def test_double_dual_of_finite_length_module():
     r = 2
     for gens in (("x", "y"), ("x^2", "y"), ("x^2", "x*y", "y^2")):
         pres = ideal_from_strings(R, gens)
-        res = free_resolution(pres, minimize=False)
+        res = free_resolution(pres)
         ext_r = _ext_from_resolution(res, r)
-        res2 = free_resolution(ext_r, minimize=False)
+        res2 = free_resolution(ext_r)
         double = _ext_from_resolution(res2, r)
         original = hilbert_function(pres.as_quotient(), (0, 4))
         again = hilbert_function(double, (0, 4))
@@ -159,3 +167,22 @@ def test_tables_share_resolution():
     tabs = local_cohomology_tables(pres, (-6, 2))
     for i in range(pres.ring.num_positive + 1):
         assert tabs[i] == local_cohomology_hilbert(pres, i, (-6, 2))
+
+
+def test_tables_from_minimal_resolution_match_the_schreyer_frame():
+    # the tables are read off the minimal resolution; the unminimized frame
+    # gives isomorphic Ext modules and serves as the reference route
+    quartic = ideal_from_strings(  # rational quartic curve: not Cohen-Macaulay
+        ring4(), ("y*z - x*w", "z^3 - y*w^2", "x*z^2 - y^2*w", "y^3 - x^2*z"))
+    cases = [twisted_cubic(), quartic] + [pres for _, pres in squarefree_presentations()]
+    lo, hi = window = (-8, 3)
+    for pres in cases:
+        ring = pres.ring
+        r, delta = ring.num_positive, ring.delta
+        frame = _schreyer_frame(pres)
+        reference = []
+        for i in range(r + 1):
+            ext = _ext_from_resolution(frame, r - i)
+            inner = hilbert_function(ext, (-hi - delta, -lo - delta)).dims
+            reference.append({nu: inner[-nu - delta] for nu in range(lo, hi + 1)})
+        assert [t.dims for t in local_cohomology_tables(pres, window)] == reference

@@ -16,6 +16,7 @@ from fiberfull import (
     fiber_full_check,
     fiber_full_locus,
     fiber_hilbert_compare,
+    free_resolution,
     make_ring,
     parameter_lcm,
     parameter_monic,
@@ -159,6 +160,26 @@ def test_verify_degeneration_conic():
     assert rep.extremal_equal()
     # the family ideal itself is free over the base: trivial module certificate
     assert rep.fiberfull.module_certificate.annihilator.is_constant()
+
+
+def test_verify_degeneration_resolves_each_module_once(monkeypatch):
+    import fiberfull.ext
+    import fiberfull.fiberfull
+
+    resolved = []
+
+    def counting(pres):
+        resolved.append(tuple(str(g.components[0]) for g in pres.generators))
+        return free_resolution(pres)
+
+    for module in (fiberfull.ext, fiberfull.fiberfull):
+        monkeypatch.setattr(module, "free_resolution", counting)
+    pres = twisted_cubic()
+    rep = verify_degeneration(pres, TermOrder.grevlex(), (-6, 2))
+    ideal = tuple(str(g.components[0]) for g in pres.generators)
+    initial = tuple(str(g) for g in rep.initial_generators)
+    family = tuple(str(g) for g in rep.family_generators)
+    assert sorted(resolved) == sorted([ideal, initial, family])
 
 
 def test_verify_degeneration_trivial_families():

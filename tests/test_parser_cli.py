@@ -27,8 +27,13 @@ def test_parse_full_directives():
     spec = parse_input(text)
     assert spec.order is not None and spec.order.describe() == "grevlex"
     assert spec.window == (-8, 4)
-    assert spec.command == "cv-verify"
-    assert spec.output == "report.json"
+    # command and output statements were accepted and then ignored; they
+    # are no longer part of the grammar
+    for stmt in ("command cv-verify;", 'output "report.json";'):
+        with pytest.raises(ParseError) as err:
+            parse_input(text + stmt + "\n")
+        assert "unknown statement" in err.value.message
+        assert (err.value.line, err.value.col) == (text.count("\n") + 1, 1)
 
 
 def test_undeclared_variable_positions():
@@ -168,11 +173,17 @@ def test_cli_json_out_writes_identical_bytes(tmp_path):
 def test_cli_flag_errors_are_usage_errors(tmp_path):
     path = _write(tmp_path, "conic.ring",
                   "ring S vars (x,y,z) weights (1,1,1) field QQ;\nideal I = (x*z - y^2);\n")
-    for args in (["gb", path, "--bogus"], ["localcohom", path], ["gb"], ["gb", path, "--threads", "2"]):
+    for args in (["gb", path, "--bogus"], ["localcohom", path], ["gb"], ["gb", path, "--threads", "2"],
+                 ["hilbert", path, "--window", "5:1"], ["hilbert", path, "--window", "a:b"]):
         out = _run(args)
         assert out.returncode == 1, args
         payload = json.loads(out.stdout)
         assert payload["error"]["kind"] == "usage", args
+        assert payload["error"]["usage"].startswith("usage: fiberfull"), args
+    for value in ("Fp:abc", "Fp:4", "Zp:5"):
+        out = _run(["gb", path, "--field", value])
+        assert out.returncode == 1, value
+        assert json.loads(out.stdout)["error"]["kind"] == "invalid-field", value
     assert _run(["gb", "--help"]).returncode == 0
 
 

@@ -15,6 +15,7 @@ from fiberfull import (
     krull_dimension,
     make_ring,
 )
+from fiberfull.resolution import _schreyer_frame
 from fixtures import ideal_from_strings, ring2, ring4, twisted_cubic
 from helpers import resolution_exact_in_degree, vector_in_submodule
 
@@ -22,7 +23,7 @@ from helpers import resolution_exact_in_degree, vector_in_submodule
 def test_koszul_two_variables():
     R = ring2()
     P = ideal_from_strings(R, ("x", "y"))
-    res = free_resolution(P, minimize=True)
+    res = free_resolution(P)
     assert res.ranks() == [1, 2, 1]
     assert [list(m.twists) for m in res.modules] == [[0], [1, 1], [2]]
     assert res.check_complex()
@@ -35,7 +36,7 @@ def test_koszul_two_variables():
 def test_principal_ideal_two_term_resolution():
     R = ring2()
     P = ideal_from_strings(R, ("x^3 - x*y^2",))
-    res = free_resolution(P, minimize=True)
+    res = free_resolution(P)
     assert res.ranks() == [1, 1]
     assert list(res.modules[1].twists) == [3]
     bt = betti_table(res)
@@ -44,7 +45,7 @@ def test_principal_ideal_two_term_resolution():
 
 def test_ring_itself():
     R = ring2()
-    res = free_resolution(SubmodulePresentation.ideal(R, []), minimize=True)
+    res = free_resolution(SubmodulePresentation.ideal(R, []))
     assert res.ranks() == [1]
     bt = betti_table(res)
     assert bt.entries == {(0, 0): 1}
@@ -53,7 +54,7 @@ def test_ring_itself():
 
 def test_twisted_cubic_resolution_and_betti():
     P = twisted_cubic()
-    res = free_resolution(P, minimize=True)
+    res = free_resolution(P)
     assert res.ranks() == [1, 3, 2]
     assert list(res.modules[1].twists) == [2, 2, 2]
     assert list(res.modules[2].twists) == [3, 3]
@@ -106,7 +107,7 @@ def test_twisted_cubic_by_hand_syzygies():
 
 def test_d_squared_zero_and_exactness():
     for pres in (twisted_cubic(), ideal_from_strings(ring2(), ("x", "y"))):
-        res = free_resolution(pres, minimize=True)
+        res = free_resolution(pres)
         assert res.check_complex()
         for k in range(1, len(res.diffs) + 1):
             for nu in range(0, 6):
@@ -114,14 +115,15 @@ def test_d_squared_zero_and_exactness():
 
 
 def test_raw_schreyer_resolution_exact():
-    # the unminimized chains feed the Ext computation and must be exact too
+    # the unminimized frame, from which the minimal resolution is pruned,
+    # must be exact too
     cases = (
         twisted_cubic(),
         ideal_from_strings(ring4(), ("x*y", "y*z", "z*w")),
         ideal_from_strings(ring2(), ("x^2", "x*y", "y^3")),
     )
     for pres in cases:
-        res = free_resolution(pres, minimize=False)
+        res = _schreyer_frame(pres)
         assert res.check_complex()
         for k in range(1, len(res.diffs) + 1):
             for nu in range(0, 7):
@@ -130,7 +132,7 @@ def test_raw_schreyer_resolution_exact():
 
 def test_minimality_no_scalar_entries():
     for pres in (twisted_cubic(), ideal_from_strings(ring2(), ("x", "y", "x*y"))):
-        res = free_resolution(pres, minimize=True)
+        res = free_resolution(pres)
         for cols in res.diffs:
             for col in cols:
                 for entry in col.components:
@@ -141,31 +143,32 @@ def test_beta0_counts_minimal_generators():
     R = ring2()
     # x and y are minimal generators, x*y is redundant
     P = ideal_from_strings(R, ("x", "y", "x*y"))
-    res = free_resolution(P, minimize=True)
+    res = free_resolution(P)
     bt = betti_table(res)
     assert bt.entries[(1, 0)] == 2
     assert (1, 1) not in bt.entries
 
     # mixed degrees stay separated
     P2 = ideal_from_strings(R, ("x^2", "y^3"))
-    bt2 = betti_table(free_resolution(P2, minimize=True))
+    bt2 = betti_table(free_resolution(P2))
     assert bt2.entries[(1, 1)] == 1 and bt2.entries[(1, 2)] == 1
 
 
 def test_nonminimal_resolution_rejected_by_betti():
     P = twisted_cubic()
-    res = free_resolution(P, minimize=False)
+    res = _schreyer_frame(P)
     with pytest.raises(InvalidArgumentError):
         betti_table(res)
 
 
-def test_minimize_rejected_over_parameter_ring():
+def test_parameter_ring_resolution_has_no_betti_table():
     Rt = make_ring([1, 1], True, names=["x", "y"])
     P = SubmodulePresentation.ideal(Rt, [Rt.parse("t*x")])
-    with pytest.raises(InvalidArgumentError):
-        free_resolution(P, minimize=True)
-    res = free_resolution(P, minimize=False)
+    res = free_resolution(P)
     assert res.check_complex()
+    assert not res.minimal
+    with pytest.raises(InvalidArgumentError):
+        betti_table(res)
 
 
 def test_resolution_length_bounded_by_variables():
@@ -174,7 +177,7 @@ def test_resolution_length_bounded_by_variables():
         ideal_from_strings(ring4(), ("x*y", "y*z", "z*w", "w*x")),
         ideal_from_strings(ring4(), ("x", "y", "z", "w")),
     ):
-        res = free_resolution(pres, minimize=True)
+        res = free_resolution(pres)
         assert res.length <= pres.ring.nvars
 
 
