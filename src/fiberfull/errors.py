@@ -29,6 +29,11 @@ class InvalidArgumentError(AlgebraError):
     kind = "invalid-argument"
 
 
+class IndexOutOfRangeError(InvalidArgumentError, IndexError):
+    """An index outside its range; also an ``IndexError``, which is what
+    library callers catch."""
+
+
 class InfiniteDimensionError(AlgebraError):
     kind = "infinite-dimension"
 

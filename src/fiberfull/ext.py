@@ -9,7 +9,7 @@ The dual twist and the degree flip of the base dual compose into the single
 index shift above.
 """
 
-from .errors import InvalidArgumentError
+from .errors import IndexOutOfRangeError, InvalidArgumentError
 from .groebner import buchberger, module_kernel
 from .hilbert import HilbertTable, hilbert_from_leads, zero_table
 from .modules import GradedFreeModule, PolyVector, SubmodulePresentation
@@ -95,11 +95,11 @@ def local_cohomology_hilbert(pres, i, window, permissive=False):
     i > r (returned as a zero table only when ``permissive``)."""
     r = _field_base_rank(pres.ring)
     if i < 0:
-        raise IndexError("negative cohomological index")
+        raise IndexOutOfRangeError("negative cohomological index")
     if i > r:
         if permissive:
             return zero_table(window)
-        raise IndexError("cohomological index %d exceeds the variable count %d" % (i, r))
+        raise IndexOutOfRangeError("cohomological index %d exceeds the variable count %d" % (i, r))
     return _tables_from_resolution(free_resolution(pres), window, (i,))[0]
 
 

@@ -7,6 +7,11 @@ The engine works on "term vectors": lists of ``(key, (monomial, component),
 coefficient)`` sorted descending under the active module order.  Keys are
 precomputed order keys, so merging and comparisons never re-derive them.
 Public entry points convert to and from :class:`PolyVector`.
+
+Division looks up divisors in a "lead index": the basis positions grouped by
+the component of their leading term, in basis order within each group.  A
+term can only be divided by a lead in its own component, so a scan of that
+group finds the same first divisor as a scan of the whole basis.
 """
 
 import heapq
@@ -14,7 +19,7 @@ import heapq
 from .errors import InvalidArgumentError, OrderMismatchError, WeightVectorMismatchError
 from .modules import GradedFreeModule, PolyVector, SubmodulePresentation
 from .orders import BlockTOPOrder, SchreyerOrder, TermOrder, TOPOrder
-from .rings import mon_div, mon_divides, mon_gcd, mon_is_one, mon_lcm, mon_mul
+from .rings import Polynomial, mon_div, mon_divides, mon_gcd, mon_is_one, mon_lcm, mon_mul
 
 # ---------------------------------------------------------------------------
 # term-vector primitives
@@ -30,11 +35,19 @@ def _tv_from_vector(v, morder):
 
 
 def _tv_to_vector(tv, module):
+    # the terms of a term vector are coerced, distinct and nonzero, so
+    # sorting them is all that ring.poly would do; polynomials are never
+    # mutated, so the empty components share one zero
     ring = module.ring
     per_comp = [[] for _ in range(module.rank)]
     for _, (mon, comp), coeff in tv:
         per_comp[comp].append((mon, coeff))
-    return PolyVector(module, tuple(ring.poly(ts) for ts in per_comp))
+    key = ring.canonical_key
+    zero = ring.zero()
+    return PolyVector(module, [
+        Polynomial(ring, tuple(sorted(ts, key=lambda mc: key(mc[0]), reverse=True)))
+        if ts else zero
+        for ts in per_comp])
 
 
 def _tv_add(a, b, field):
@@ -70,11 +83,9 @@ def _tv_scale(tv, c, field):
 
 
 def _tv_mul_term(tv, mon, coeff, morder, field):
-    out = []
-    for _, (m, comp), cf in tv:
-        nm = mon_mul(m, mon)
-        out.append((morder.key(nm, comp), (nm, comp), field.mul(cf, coeff)))
-    return out
+    key, mul = morder.key, field.mul
+    return [(key(nm := mon_mul(m, mon), comp), (nm, comp), mul(cf, coeff))
+            for _, (m, comp), cf in tv]
 
 
 class _Marked:
@@ -97,26 +108,39 @@ def _mark(tv, field, ring, twists):
     return _Marked(tv, mm, key, sugar)
 
 
-def _tv_normal_form(tv, basis, morder, field, quotients=None):
-    """Full normal form against a marked basis; every term of the result is
-    outside the initial module of the basis.  ``quotients`` accumulates the
-    division coefficients per basis index when supplied."""
+def _lead_index(basis):
+    """Lead index of a marked basis: component -> list of ``(position, lead
+    monomial, element)`` in basis order."""
+    index = {}
+    for idx, b in enumerate(basis):
+        _index_add(index, idx, b)
+    return index
+
+
+def _index_add(index, idx, b):
+    bm, bc = b.lead_mm
+    index.setdefault(bc, []).append((idx, bm, b))
+
+
+def _tv_normal_form(tv, index, morder, field, quotients=None, skip=None):
+    """Full normal form against a marked basis given by its lead index; every
+    term of the result is outside the initial module of the basis.  Each term
+    is divided by the first element of its component group whose lead divides
+    it, which is the first such element of the basis.  ``skip`` leaves out
+    one basis position.  ``quotients`` accumulates the division coefficients
+    per basis position when supplied."""
     work = list(tv)
     out = []
     pos = 0
     while pos < len(work):
         _, (m, comp), coeff = work[pos]
-        hit = None
-        for idx, b in enumerate(basis):
-            bm, bc = b.lead_mm
-            if bc == comp and mon_divides(bm, m):
-                hit = (idx, b)
+        for idx, bm, b in index.get(comp, ()):
+            if idx != skip and mon_divides(bm, m):
                 break
-        if hit is None:
+        else:
             out.append(work[pos])
             pos += 1
             continue
-        idx, b = hit
         q = mon_div(m, bm)
         scaled = _tv_mul_term(b.tv, q, field.neg(coeff), morder, field)
         work = _tv_add(work[pos:], scaled, field)
@@ -146,24 +170,28 @@ def gb_engine(tvs, morder, field, ring, twists, rank):
 
     Pair selection is by sugar degree, then lcm key (normal strategy).  The
     chain criterion is applied at selection time; the coprimality criterion
-    only for rank-1 ambients, where it is valid.
+    only for rank-1 ambients, where it is valid.  The lead index of the basis
+    grows with it, so pairs, chain tests and reductions scan only the
+    elements whose lead shares the component in question.
     """
     basis = []
     for tv in tvs:
         if tv:
             basis.append(_mark(tv, field, ring, twists))
     basis.sort(key=lambda b: b.lead_key)
+    index = _lead_index(basis)
 
     heap = []
     pending = set()
 
     def push_pairs(n):
         gn = basis[n]
-        for i in range(n):
-            if basis[i].lead_mm[1] != gn.lead_mm[1]:
-                continue
-            lcm, sugar = _spair_data(ring, basis[i], gn)
-            heapq.heappush(heap, (sugar, morder.key(lcm, gn.lead_mm[1]), i, n))
+        comp = gn.lead_mm[1]
+        for i, _, gi in index[comp]:
+            if i >= n:
+                break
+            lcm, sugar = _spair_data(ring, gi, gn)
+            heapq.heappush(heap, (sugar, morder.key(lcm, comp), i, n))
             pending.add((i, n))
 
     for n in range(len(basis)):
@@ -181,11 +209,8 @@ def gb_engine(tvs, morder, field, ring, twists, rank):
         if rank == 1 and mon_is_one(mon_gcd(mi, mj)):
             continue
         skip = False
-        for k, gk in enumerate(basis):
-            if k in (i, j):
-                continue
-            mk, ck = gk.lead_mm
-            if ck != ci or not mon_divides(mk, lcm):
+        for k, mk, _ in index[ci]:
+            if k in (i, j) or not mon_divides(mk, lcm):
                 continue
             a, b = (i, k) if i < k else (k, i)
             c, d = (j, k) if j < k else (k, j)
@@ -199,9 +224,10 @@ def gb_engine(tvs, morder, field, ring, twists, rank):
             _tv_mul_term(gj.tv, mon_div(lcm, mj), field.neg(field.one), morder, field),
             field,
         )
-        rem = _tv_normal_form(sp, basis, morder, field)
+        rem = _tv_normal_form(sp, index, morder, field)
         if rem:
             basis.append(_mark(rem, field, ring, twists))
+            _index_add(index, len(basis) - 1, basis[-1])
             push_pairs(len(basis) - 1)
 
     return _interreduce(basis, morder, field, ring, twists)
@@ -212,15 +238,16 @@ def _interreduce(basis, morder, field, ring, twists):
     sorted ascending by leading key."""
     basis = sorted(basis, key=lambda b: b.lead_key)
     kept = []
+    index = {}
     for b in basis:
         m, c = b.lead_mm
-        if any(kc == c and mon_divides(km, m) for (km, kc) in (x.lead_mm for x in kept)):
+        if any(mon_divides(km, m) for _, km, _ in index.get(c, ())):
             continue
+        _index_add(index, len(kept), b)
         kept.append(b)
     out = []
     for i, b in enumerate(kept):
-        others = kept[:i] + kept[i + 1:]
-        red = _tv_normal_form(b.tv, others, morder, field)
+        red = _tv_normal_form(b.tv, index, morder, field, skip=i)
         out.append(_mark(red, field, ring, twists))
     out.sort(key=lambda b: b.lead_key)
     return out
@@ -230,10 +257,11 @@ class GroebnerBasis:
     """Reduced marked basis of a submodule of a graded free module.
 
     Keeps the marked term vectors the engine produced (``marked``), so
-    division and syzygies reuse their order keys; ``elements`` and ``leads``
-    are derived from them once."""
+    division and syzygies reuse their order keys; ``elements``, ``leads`` and
+    the lead index used by division are derived from them once."""
 
-    __slots__ = ("module", "ring_order", "module_order", "marked", "elements", "leads")
+    __slots__ = ("module", "ring_order", "module_order", "marked", "elements", "leads",
+                 "_index")
 
     def __init__(self, module, ring_order, module_order, marked):
         self.module = module
@@ -242,6 +270,7 @@ class GroebnerBasis:
         self.marked = tuple(marked)
         self.elements = tuple(_tv_to_vector(b.tv, module) for b in self.marked)
         self.leads = tuple(b.lead_mm for b in self.marked)
+        self._index = _lead_index(self.marked)
 
     @property
     def ring(self):
@@ -277,7 +306,7 @@ def normal_form(v, G):
     if v.module != G.module:
         raise OrderMismatchError("vector and basis live in different modules")
     tv = _tv_from_vector(v, G.module_order)
-    rem = _tv_normal_form(tv, G.marked, G.module_order, G.ring.field)
+    rem = _tv_normal_form(tv, G._index, G.module_order, G.ring.field)
     return _tv_to_vector(rem, G.module)
 
 
@@ -308,6 +337,7 @@ def _schreyer_level(marked, morder, field, ring, parent_twists):
         ring.degree(m) + parent_twists[c] for (m, c) in leads
     )
     sorder = SchreyerOrder(morder, leads)
+    index = _lead_index(marked)
     syz_twists = []
     syz_marked = []
     pairs = []
@@ -327,7 +357,7 @@ def _schreyer_level(marked, morder, field, ring, parent_twists):
             field,
         )
         quotients = {}
-        rem = _tv_normal_form(sp, marked, morder, field, quotients)
+        rem = _tv_normal_form(sp, index, morder, field, quotients)
         if rem:
             raise InvalidArgumentError("syzygy computation requires a Groebner basis")
         coeffs = {(ui, i): field.one, (uj, j): field.neg(field.one)}

@@ -9,7 +9,7 @@ exponent as final tiebreaker), which makes equality structural.
 """
 
 from fractions import Fraction
-from operator import mul, neg
+from operator import add, le, mul, neg, sub
 
 from .errors import InvalidArgumentError, InvalidGradingError, RingMismatchError
 from .fields import QQ
@@ -18,25 +18,25 @@ from .fields import QQ
 
 
 def mon_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mon_div(a, b):
     """a / b, assuming b divides a."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mon_divides(a, b):
     """True when a divides b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mon_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mon_gcd(a, b):
-    return tuple(min(x, y) for x, y in zip(a, b))
+    return tuple(map(min, a, b))
 
 
 def mon_is_one(a):

@@ -1,12 +1,13 @@
 """Shared test utilities: random element generators and independent oracles
 (brute-force standard-monomial counting, S-pair closure, degreewise exactness
-by exact linear algebra)."""
+by exact linear algebra, division by a linear scan of the basis)."""
 
 from fiberfull import (
     SubmodulePresentation,
     monomials_of_degree,
     normal_form,
 )
+from fiberfull.groebner import _tv_add, _tv_mul_term
 from fiberfull.linalg import matrix_rank
 from fiberfull.rings import mon_div, mon_divides, mon_lcm
 
@@ -123,3 +124,28 @@ def resolution_exact_in_degree(res, k, nu):
 
 def vector_in_submodule(v, G):
     return normal_form(v, G).is_zero()
+
+
+def linear_scan_division(tv, basis, morder, field, skip=None):
+    """Division of a term vector by a marked basis that scans the whole basis
+    for the first lead dividing each term, leaving out position ``skip``.
+    Returns the remainder and the quotient terms per basis position."""
+    work = list(tv)
+    out = []
+    quotients = {}
+    pos = 0
+    while pos < len(work):
+        _, (m, comp), coeff = work[pos]
+        for idx, b in enumerate(basis):
+            bm, bc = b.lead_mm
+            if idx != skip and bc == comp and mon_divides(bm, m):
+                break
+        else:
+            out.append(work[pos])
+            pos += 1
+            continue
+        q = mon_div(m, bm)
+        work = _tv_add(work[pos:], _tv_mul_term(b.tv, q, field.neg(coeff), morder, field), field)
+        pos = 0
+        quotients.setdefault(idx, []).append((q, coeff))
+    return out, quotients

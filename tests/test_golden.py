@@ -1,0 +1,57 @@
+"""Byte-identity gate: the sha256 of CLI stdout on a few fixed inputs.
+
+The hashes pin the exact bytes, not only the mathematics: a change in the
+division choices of the term-vector engine (which basis element reduces
+which term) shows up in the unminimized frame printed by ``resolve`` over
+k[t][x], in the torsion generators of ``fiberfull`` and in the family of
+``cv-verify``.  A change that alters any of these bytes on purpose must say
+so and update the hash."""
+
+import hashlib
+
+import pytest
+
+from test_parser_cli import _run, _write
+
+MINORS_2X3 = (
+    "ring S vars (a,b,c,d,e,f) weights (1,1,1,1,1,1) field QQ;\n"
+    "ideal I = (a*e - b*d, a*f - c*d, b*f - c*e);\n"
+)
+PARAM_FAMILY = (
+    "ring R vars (x,y,z) weights (1,1,1) field QQ param t;\n"
+    "ideal I = (x*z - t*y^2, x*y - t*z^2, y*z - x^2);\n"
+)
+TORSION_FP7 = (
+    "ring R vars (x,y) weights (1,1) field Fp 7 param t;\n"
+    "ideal M = (t*x, y^2);\n"
+)
+LOCUS_INPUT = (
+    "ring R vars (x,y,z) weights (1,1,1) field Fp 32003 param t;\n"
+    "ideal M = (t*x*y, t*x*z - x*z, y^2 - t*z^2);\n"
+)
+# the rational quartic curve, which is not Cohen-Macaulay
+QUARTIC = (
+    "ring S vars (x,y,z,w) weights (1,1,1,1) field QQ;\n"
+    "ideal I = (y*z - x*w, z^3 - y*w^2, x*z^2 - y^2*w, y^3 - x^2*z);\n"
+)
+
+GOLDEN = [
+    (MINORS_2X3, ["cv-verify", "--order", "lex"],
+     "bf0a0cd72ca7107b46d13ee07df1e3c478deb4747606003d994eff998eb461be"),
+    (PARAM_FAMILY, ["resolve"],
+     "d30b06f6c76ec9b3ae917a89f0d8c67de4dd3642661f496d4223376cb529b826"),
+    (TORSION_FP7, ["fiberfull", "--at", "0"],
+     "96a18cfe3a4a30c8bd0cc6ea7ef556378a9a977b19a1b0f8d369682ae44a8c18"),
+    (LOCUS_INPUT, ["locus"],
+     "b1ccefe9651bff75dea6733718b9b9b6d8b0123d5fad8dd77223df9b55c9e587"),
+    (QUARTIC, ["betti"],
+     "4b1d3bbd97019d59e64bc42ba3c0e667a77b7d2ffcb0102c80e78c9a9f500b01"),
+]
+
+
+@pytest.mark.parametrize("text,argv,digest", GOLDEN, ids=[g[1][0] for g in GOLDEN])
+def test_cli_stdout_is_pinned(tmp_path, text, argv, digest):
+    path = _write(tmp_path, "input.ring", text)
+    out = _run([argv[0], path] + argv[1:])
+    assert out.returncode == 0, out.stdout
+    assert hashlib.sha256(out.stdout).hexdigest() == digest

@@ -24,7 +24,7 @@ from fiberfull import (
     weight_vector_for,
 )
 from fixtures import ideal_from_strings, macaulay_suite, ring2, ring3, ring4, twisted_cubic
-from helpers import spair_closure_holds, vector_in_submodule
+from helpers import linear_scan_division, rand_poly, spair_closure_holds, vector_in_submodule
 
 
 def _ideal(ring, *gens):
@@ -276,6 +276,52 @@ def test_module_kernel_koszul():
     assert len(ker) == 1
     a, b = ker[0].components
     assert (a * x + b * y).is_zero()
+
+
+def test_lead_index_division_matches_linear_scan(monkeypatch):
+    # the graph generators of module_kernel on the Koszul map K_2 -> K_1 in
+    # four variables, and the basis the engine makes of them, have leads in
+    # several components; dividing by the lead index must pick the same
+    # divisors as a scan of the whole basis
+    from fiberfull import GradedFreeModule, PolyVector, module_kernel
+    from fiberfull import groebner
+    from fiberfull.groebner import _lead_index, _mark, _tv_from_vector, _tv_normal_form
+
+    R = ring4(GF(32003))
+    field = R.field
+    xs = [R.variable(i) for i in range(4)]
+    K1 = GradedFreeModule(R, (1, 1, 1, 1))
+    columns = []
+    for i in range(4):
+        for j in range(i + 1, 4):
+            comps = [R.zero()] * 4
+            comps[i], comps[j] = -xs[j], xs[i]
+            columns.append(PolyVector(K1, tuple(comps)))
+    calls = []
+    engine = groebner.gb_engine
+
+    def recording_engine(tvs, morder, field, ring, twists, rank):
+        marked = engine(tvs, morder, field, ring, twists, rank)
+        calls.append((tvs, morder, twists, marked))
+        return marked
+
+    monkeypatch.setattr(groebner, "gb_engine", recording_engine)
+    assert len(module_kernel(columns, (2,) * 6)) == 4
+    (tvs, morder, twists, reduced), = calls
+    graph = [_mark(tv, field, R, twists) for tv in tvs]
+    combined = GradedFreeModule(R, twists)
+    rng = random.Random(11)
+    vectors = [_tv_from_vector(PolyVector(combined, tuple(
+        rand_poly(rng, R, max_terms=3, max_exp=2) for _ in twists)), morder) for _ in range(6)]
+    vectors += [b.tv for b in graph]
+    for basis in (graph, reduced):
+        assert len({b.lead_mm[1] for b in basis}) >= 3
+        index = _lead_index(basis)
+        for tv in vectors:
+            for skip in [None] + list(range(len(basis))):
+                quotients = {}
+                rem = _tv_normal_form(tv, index, morder, field, quotients, skip=skip)
+                assert (rem, quotients) == linear_scan_division(tv, basis, morder, field, skip)
 
 
 def test_colon_example():

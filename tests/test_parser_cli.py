@@ -184,6 +184,11 @@ def test_cli_flag_errors_are_usage_errors(tmp_path):
         out = _run(["gb", path, "--field", value])
         assert out.returncode == 1, value
         assert json.loads(out.stdout)["error"]["kind"] == "invalid-field", value
+    # the conic has r = 3, so H^i exists for 0 <= i <= 3 only
+    for index in ("-1", "9"):
+        out = _run(["localcohom", path, "--i", index])
+        assert out.returncode == 1, index
+        assert json.loads(out.stdout)["error"]["kind"] == "invalid-argument", index
     assert _run(["gb", "--help"]).returncode == 0
 
 
