@@ -93,19 +93,18 @@ class _Marked:
 
     __slots__ = ("tv", "lead_mm", "lead_key", "sugar")
 
-    def __init__(self, tv, lead_mm, lead_key, sugar):
+    def __init__(self, tv, lead_mm, lead_key):
         self.tv = tv
         self.lead_mm = lead_mm
         self.lead_key = lead_key
-        self.sugar = sugar
+        self.sugar = None  # set by gb_engine, the only reader
 
 
-def _mark(tv, field, ring, twists):
+def _mark(tv, field):
     key, mm, coeff = tv[0]
     if coeff != field.one:
         tv = _tv_scale(tv, field.inv(coeff), field)
-    sugar = max(ring.degree(m) + twists[c] for _, (m, c), _ in tv)
-    return _Marked(tv, mm, key, sugar)
+    return _Marked(tv, mm, key)
 
 
 def _lead_index(basis):
@@ -174,10 +173,12 @@ def gb_engine(tvs, morder, field, ring, twists, rank):
     grows with it, so pairs, chain tests and reductions scan only the
     elements whose lead shares the component in question.
     """
-    basis = []
-    for tv in tvs:
-        if tv:
-            basis.append(_mark(tv, field, ring, twists))
+    def mark(tv):
+        b = _mark(tv, field)
+        b.sugar = max(ring.degree(m) + twists[c] for _, (m, c), _ in b.tv)
+        return b
+
+    basis = [mark(tv) for tv in tvs if tv]
     basis.sort(key=lambda b: b.lead_key)
     index = _lead_index(basis)
 
@@ -226,14 +227,14 @@ def gb_engine(tvs, morder, field, ring, twists, rank):
         )
         rem = _tv_normal_form(sp, index, morder, field)
         if rem:
-            basis.append(_mark(rem, field, ring, twists))
+            basis.append(mark(rem))
             _index_add(index, len(basis) - 1, basis[-1])
             push_pairs(len(basis) - 1)
 
-    return _interreduce(basis, morder, field, ring, twists)
+    return _interreduce(basis, morder, field)
 
 
-def _interreduce(basis, morder, field, ring, twists):
+def _interreduce(basis, morder, field):
     """Minimalize leads, then tail-reduce; result is the unique reduced basis
     sorted ascending by leading key."""
     basis = sorted(basis, key=lambda b: b.lead_key)
@@ -248,7 +249,7 @@ def _interreduce(basis, morder, field, ring, twists):
     out = []
     for i, b in enumerate(kept):
         red = _tv_normal_form(b.tv, index, morder, field, skip=i)
-        out.append(_mark(red, field, ring, twists))
+        out.append(_mark(red, field))
     out.sort(key=lambda b: b.lead_key)
     return out
 
@@ -375,7 +376,7 @@ def _schreyer_level(marked, morder, field, ring, parent_twists):
         if not tv:
             continue
         syz_twists.append(ring.degree(lcm) + parent_twists[ci])
-        syz_marked.append(_mark(tv, field, ring, element_degrees))
+        syz_marked.append(_mark(tv, field))
         assert syz_marked[-1].lead_mm == (ui, i)
     return syz_marked, sorder, element_degrees, tuple(syz_twists)
 

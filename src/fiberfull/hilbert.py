@@ -1,62 +1,112 @@
 """Exact Hilbert functions of graded module presentations.
 
-Counting standard monomials degree by degree is done through the classical
-numerator recursion for monomial-ideal Hilbert series: the free numerator is
-built by splitting off one generator at a time, then expanded against the
-weighted denominator on the requested window.  When a degree-0 parameter
+Counting standard monomials degree by degree is done through the numerator
+of the monomial-ideal Hilbert series: Bigatti's pivot recursion splits the
+ideal on a power of its most frequent variable until the generators are
+pairwise coprime, and the numerator is then expanded against the weighted
+denominator on the requested window.  When a degree-0 parameter
 variable is present, the counts per positive-degree monomial are the number
 of parameter powers that stay standard, which is finite exactly when the
 parameter-free generator supports eventually cover everything; otherwise the
 quotient has infinite dimension in some degree and we refuse.
 """
 
+from operator import mul
+
 from .errors import InfiniteDimensionError, InvalidArgumentError
 from .rings import mon_divides
 
-# ---------- monomial ideal numerator recursion ----------
+# ---------- monomial ideal numerator: Bigatti's pivot ----------
 
 
 def _minimalize(gens):
-    gens = sorted(set(gens))
-    out = []
+    """Minimal generators of a monomial ideal as a sorted tuple, the memo
+    key.  A proper divisor has a strictly smaller total degree, so each
+    generator is tested only against kept generators of smaller degree."""
+    kept = []
+    smaller = 0  # kept[:smaller] have a degree below the current one
+    current = None
+    for d, g in sorted((sum(g), g) for g in set(gens)):
+        if d != current:
+            current, smaller = d, len(kept)
+        if not any(mon_divides(h, g) for h in kept[:smaller]):
+            kept.append(g)
+    return tuple(sorted(kept))
+
+
+def _coprime_numerator(gens, weights):
+    """Numerator of R/<gens> for pairwise coprime generators: the product of
+    the factors 1 - t^deg(g)."""
+    out = {0: 1}
     for g in gens:
-        if not any(mon_divides(h, g) for h in out):
-            out.append(g)
-    return tuple(out)
-
-
-def _colon_mon(gens, m):
-    return _minimalize(tuple(tuple(max(0, a - b) for a, b in zip(g, m)) for g in gens))
-
-
-def _numerator(gens, weights, memo):
-    """dict degree -> coefficient of the Hilbert series numerator of R/<gens>."""
-    gens = _minimalize(gens)
-    if not gens:
-        return {0: 1}
-    if any(all(e == 0 for e in g) for g in gens):
-        return {}
-    cached = memo.get(gens)
-    if cached is not None:
-        return cached
-    pivot = gens[-1]
-    rest = gens[:-1]
-    qa = _numerator(rest, weights, memo)
-    qb = _numerator(_colon_mon(rest, pivot), weights, memo)
-    d = sum(w * e for w, e in zip(weights, pivot))
-    out = dict(qa)
-    for k, c in qb.items():
-        out[k + d] = out.get(k + d, 0) - c
-    out = {k: c for k, c in out.items() if c != 0}
-    memo[gens] = out
+        d = sum(map(mul, weights, g))
+        nxt = dict(out)
+        for k, c in out.items():
+            nxt[k + d] = nxt.get(k + d, 0) - c
+        out = {k: c for k, c in nxt.items() if c}
     return out
+
+
+def _pivot_split(gens):
+    """``(I + (p), I : p, i, e)`` for the pivot p = x_i^e of Bigatti's
+    strategy, or None when the minimal generators ``gens`` are pairwise
+    coprime.  x_i occurs in the most generators and e is the lower median of
+    its positive exponents; a pure power of x_i among minimal generators has
+    the strictly largest x_i-exponent, so p is not in I."""
+    occurrences = [len(gens) - column.count(0) for column in zip(*gens)]
+    top = max(occurrences, default=0)
+    if top < 2:
+        return None
+    i = occurrences.index(top)
+    exps = sorted(g[i] for g in gens if g[i])
+    e = exps[(len(exps) - 1) // 2]
+    pure = tuple(e if j == i else 0 for j in range(len(gens[0])))
+    # generators not divisible by p stay minimal beside p
+    plus = tuple(sorted([g for g in gens if g[i] < e] + [pure]))
+    colon = _minimalize([g[:i] + (max(0, g[i] - e),) + g[i + 1:] for g in gens])
+    return plus, colon, i, e
+
+
+def _numerator(gens, weights):
+    """dict degree -> coefficient of the Hilbert series numerator of R/<gens>.
+
+    Bigatti's pivot recursion N(I) = N(I + (p)) + t^deg(p) N(I : p)
+    (Bigatti, "Computation of Hilbert-Poincare series", JPAA 1997), from
+    the exact sequence 0 -> R/(I : p)(-deg p) -> R/I -> R/(I + (p)) -> 0.
+    Each step lowers the sum of the total degrees of the minimal generators:
+    I + (p) replaces the two or more generators divisible by p with p, and
+    in I : p at least two generators lose part of their x_i-power.  So the
+    recursion ends.  It runs on an explicit stack, so its depth meets no
+    interpreter limit, and a memo shares the numerators of repeated ideals."""
+    root = _minimalize(gens)
+    memo = {}
+    stack = [(root, None)]
+    while stack:
+        ideal, split = stack.pop()
+        if ideal in memo:
+            continue
+        if split is None:
+            split = _pivot_split(ideal)
+            if split is None:
+                memo[ideal] = _coprime_numerator(ideal, weights)
+                continue
+            stack.append((ideal, split))
+            stack.extend((child, None) for child in split[:2])
+            continue
+        plus, colon, i, e = split
+        out = dict(memo[plus])
+        shift = weights[i] * e
+        for k, c in memo[colon].items():
+            out[k + shift] = out.get(k + shift, 0) + c
+        memo[ideal] = {k: c for k, c in out.items() if c}
+    return memo[root]
 
 
 def monomial_quotient_counts(weights, gens, max_degree):
     """Hilbert function of k[x]/<monomial gens> in degrees 0..max_degree."""
     if max_degree < 0:
         return []
-    num = _numerator(tuple(tuple(g) for g in gens), tuple(weights), {})
+    num = _numerator([tuple(g) for g in gens], tuple(weights))
     series = [0] * (max_degree + 1)
     for k, c in num.items():
         if 0 <= k <= max_degree:
@@ -69,16 +119,38 @@ def monomial_quotient_counts(weights, gens, max_degree):
 
 def monomial_quotient_dimension(num_vars, gens):
     """Krull dimension of k[x]/<monomial gens>: the largest coordinate
-    subspace meeting no generator support."""
-    supports = [frozenset(i for i, e in enumerate(g) if e > 0) for g in gens]
-    if any(not s for s in supports):
+    subspace meeting no generator support, that is ``num_vars`` minus the
+    size of a minimum transversal of the supports (a set of variables that
+    meets every support).  The transversal is found by exact branch and
+    bound.  A node holds chosen and excluded variables; it takes the
+    shortest support its chosen variables do not meet and branches on that
+    support's variables in turn, the k-th branch choosing the k-th variable
+    and excluding the ones before it, so no set is searched twice; an unmet
+    support with only excluded variables leaves no branch.  A node is
+    dropped when its size plus a count of pairwise disjoint unmet supports,
+    each of which needs a variable of its own, reaches the best transversal
+    found."""
+    supports = {frozenset(i for i, e in enumerate(g) if e > 0) for g in gens}
+    if frozenset() in supports:
         return -1
-    best = 0
-    for mask in range(1 << num_vars):
-        subset = {i for i in range(num_vars) if mask >> i & 1}
-        if all(not s <= subset for s in supports):
-            best = max(best, len(subset))
-    return best
+    # one variable from each support, or all of them, meets every support
+    best = min(num_vars, len(supports))
+    stack = [(frozenset(), frozenset())]
+    while stack:
+        chosen, excluded = stack.pop()
+        unmet = sorted((s - excluded for s in supports if not s & chosen), key=len)
+        if not unmet:
+            best = min(best, len(chosen))
+            continue
+        packed, disjoint = set(), 0
+        for s in unmet:
+            if not packed & s:
+                packed |= s
+                disjoint += 1
+        if len(chosen) + disjoint < best:
+            branch = sorted(unmet[0])
+            stack.extend((chosen | {v}, excluded.union(branch[:k])) for k, v in enumerate(branch))
+    return num_vars - best
 
 
 def monomials_of_degree(ring, degree):

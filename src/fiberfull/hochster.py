@@ -64,7 +64,7 @@ def reduced_cohomology_dims(faces, field):
     top = max(by_dim)
     ranks = {}
     sizes = {d: len(by_dim.get(d, [])) for d in range(-1, top + 1)}
-    one, zero = field.one, field.zero
+    signs = (1, field.neg(1))
     for d in range(-1, top):
         lower = by_dim.get(d, [])
         upper = by_dim.get(d + 1, [])
@@ -74,13 +74,13 @@ def reduced_cohomology_dims(faces, field):
         index = {f: i for i, f in enumerate(lower)}
         rows = []
         for f in upper:
-            row = [zero] * len(lower)
+            row = [0] * len(lower)
             verts = sorted(f)
             for pos, v in enumerate(verts):
                 sub = frozenset(f - {v})
                 j = index.get(sub)
                 if j is not None:
-                    row[j] = one if pos % 2 == 0 else field.neg(one)
+                    row[j] = signs[pos % 2]
             rows.append(row)
         # rank of the coboundary C^d -> C^{d+1} equals the rank of its
         # transpose, assembled here with one row per (d+1)-face

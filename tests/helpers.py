@@ -1,9 +1,11 @@
 """Shared test utilities: random element generators and independent oracles
-(brute-force standard-monomial counting, S-pair closure, degreewise exactness
-by exact linear algebra, division by a linear scan of the basis)."""
+(brute-force standard-monomial counting, Krull dimension by a subset scan,
+S-pair closure, degreewise exactness by exact linear algebra, division by a
+linear scan of the basis)."""
 
 from fiberfull import (
     SubmodulePresentation,
+    make_ring,
     monomials_of_degree,
     normal_form,
 )
@@ -58,6 +60,28 @@ def brute_hilbert_counts(pres, window):
                     count += 1
         dims[nu] = count
     return dims
+
+
+def brute_monomial_counts(weights, gens, top):
+    """Monomials of each weighted degree 0..top outside the ideal of the
+    given exponent vectors, by enumeration."""
+    ring = make_ring(list(weights))
+    return [sum(1 for mon in monomials_of_degree(ring, d)
+                if not any(mon_divides(g, mon) for g in gens)) for d in range(top + 1)]
+
+
+def subset_scan_dimension(num_vars, gens):
+    """Krull dimension of k[x]/<monomial gens> by scanning all 2^n coordinate
+    subspaces for the largest one that contains no generator support."""
+    supports = [frozenset(i for i, e in enumerate(g) if e > 0) for g in gens]
+    if any(not s for s in supports):
+        return -1
+    best = 0
+    for mask in range(1 << num_vars):
+        subset = {i for i in range(num_vars) if mask >> i & 1}
+        if all(not s <= subset for s in supports):
+            best = max(best, len(subset))
+    return best
 
 
 def spair_closure_holds(G):

@@ -308,7 +308,7 @@ def test_lead_index_division_matches_linear_scan(monkeypatch):
     monkeypatch.setattr(groebner, "gb_engine", recording_engine)
     assert len(module_kernel(columns, (2,) * 6)) == 4
     (tvs, morder, twists, reduced), = calls
-    graph = [_mark(tv, field, R, twists) for tv in tvs]
+    graph = [_mark(tv, field) for tv in tvs]
     combined = GradedFreeModule(R, twists)
     rng = random.Random(11)
     vectors = [_tv_from_vector(PolyVector(combined, tuple(

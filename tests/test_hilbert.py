@@ -1,7 +1,10 @@
 """Hilbert-function counting: worked examples, cross-check against direct
-standard-monomial enumeration, parameter handling."""
+standard-monomial enumeration, parameter handling, and the Krull dimension
+of monomial quotients against a subset scan."""
 
+import itertools
 import random
+from math import comb
 
 import pytest
 
@@ -13,8 +16,14 @@ from fiberfull import (
     hilbert_function,
     make_ring,
 )
+from fiberfull.hilbert import monomial_quotient_counts, monomial_quotient_dimension
 from fixtures import ideal_from_strings, ring2, twisted_cubic
-from helpers import brute_hilbert_counts, rand_homogeneous
+from helpers import (
+    brute_hilbert_counts,
+    brute_monomial_counts,
+    rand_homogeneous,
+    subset_scan_dimension,
+)
 
 
 def test_polynomial_ring_and_hypersurface_counts():
@@ -81,3 +90,74 @@ def test_zero_module_table():
     pres = SubmodulePresentation.ideal(R, [R.one()])
     tab = hilbert_function(pres.as_quotient(), (0, 3))
     assert tab.is_zero()
+
+
+def test_numerator_counts_match_enumeration():
+    rng = random.Random(47)
+    for weights in ((1, 2, 3, 1), (1, 1, 1), (2, 1, 1, 3, 1), (1, 1)):
+        n = len(weights)
+        for _ in range(12):
+            gens = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(0, 7))]
+            top = 12
+            assert monomial_quotient_counts(weights, gens, top) == \
+                brute_monomial_counts(weights, gens, top), (weights, gens)
+
+
+def test_numerator_pure_powers_beside_mixed_generators():
+    # with x^2, x*y the upper median of the x-exponents would be the
+    # generator x^2 itself; pure powers of every variable, and a generator
+    # that only repeats the pivot, must not loop either
+    cases = [
+        [(2, 0), (1, 1)],
+        [(2, 0), (1, 1), (0, 3)],
+        [(3, 0, 0), (0, 2, 0), (1, 1, 1), (0, 0, 4)],
+        [(4, 0, 0), (3, 1, 0), (2, 0, 1), (1, 2, 2), (0, 0, 5)],
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+        [(2, 0, 0), (2, 0, 0), (2, 1, 0)],
+    ]
+    for gens in cases:
+        weights = (1,) * len(gens[0])
+        assert monomial_quotient_counts(weights, gens, 10) == \
+            brute_monomial_counts(weights, gens, 10), gens
+        assert monomial_quotient_counts((2, 1, 3)[:len(weights)], gens, 10) == \
+            brute_monomial_counts((2, 1, 3)[:len(weights)], gens, 10), gens
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_numerator_of_maximal_ideal_powers(n):
+    gens = [tuple(c.count(i) for i in range(n))
+            for c in itertools.combinations_with_replacement(range(n), 6)]
+    expected = [comb(d + n - 1, n - 1) if d < 6 else 0 for d in range(10)]
+    assert monomial_quotient_counts([1] * n, gens, 9) == expected
+
+
+def test_numerator_of_a_long_staircase():
+    # x^a y^b is in (x^i y^(1500-i)) exactly when a + b >= 1500
+    gens = [(i, 1500 - i) for i in range(1501)]
+    expected = [d + 1 if d < 1500 else 0 for d in range(1511)]
+    assert monomial_quotient_counts([1, 1], gens, 1510) == expected
+
+
+def test_quotient_dimension_matches_subset_scan():
+    rng = random.Random(53)
+    for _ in range(200):
+        n = rng.randint(1, 10)
+        gens = [tuple(rng.choice((0, 0, 1, 2)) for _ in range(n))
+                for _ in range(rng.randint(0, 12))]
+        assert monomial_quotient_dimension(n, gens) == subset_scan_dimension(n, gens), (n, gens)
+
+
+def test_quotient_dimension_in_thirty_variables():
+    n = 30
+
+    def ideal(supports):
+        return [tuple(int(i in s) for i in range(n)) for s in supports]
+
+    # a minimum vertex cover of the 30-cycle takes every other vertex, and
+    # one of the complete graph all vertices but one
+    cycle = [(i, (i + 1) % n) for i in range(n)]
+    assert monomial_quotient_dimension(n, ideal(cycle)) == 15
+    assert monomial_quotient_dimension(n, ideal(itertools.combinations(range(n), 2))) == 1
+    # ten disjoint triangles need two vertices each
+    triangles = [s for k in range(0, n, 3) for s in itertools.combinations(range(k, k + 3), 2)]
+    assert monomial_quotient_dimension(n, ideal(triangles)) == 10
