@@ -8,7 +8,6 @@ from fiberfull import (
     SubmodulePresentation,
     betti_table,
     depth_and_regularity,
-    extremal_betti,
     free_resolution,
     krull_dimension,
     make_ring,
@@ -24,7 +23,7 @@ def show(name, pres):
     print("d o d = 0:", res.check_complex())
     bt = betti_table(res)
     print("betti (i, j) -> multiplicity:", dict(sorted(bt.entries.items())))
-    print("extremal:", sorted(extremal_betti(bt)))
+    print("extremal:", sorted(bt.extremal))
     depth, reg = depth_and_regularity(bt, r)
     print("depth %d, regularity %d, dimension %d" % (depth, reg, krull_dimension(pres)))
 
@@ -42,8 +41,9 @@ show("4-cycle of square-free monomials",
      SubmodulePresentation.ideal(R4, [R4.parse(s) for s in
                                       ("x*y", "y*z", "z*w", "w*x")]))
 
-# Over k[t][x] the resolution is the unminimized Schreyer frame: degree-0
-# entries need not be units there, so it has no Betti table.
+# Over k[t][x] the unit entries are pruned the same way, but degree-0
+# entries such as t - 1 need not be units there: the pruned resolution is
+# not claimed minimal and has no Betti table.
 Rt = make_ring([1, 1], True, names=["x", "y"])
-frame = free_resolution(SubmodulePresentation.ideal(Rt, [Rt.parse("t*x"), Rt.parse("x*y")]))
-print("\nover k[t][x]: ranks", frame.ranks(), "minimal:", frame.minimal)
+pruned = free_resolution(SubmodulePresentation.ideal(Rt, [Rt.parse("t*x"), Rt.parse("x*y")]))
+print("\nover k[t][x]: ranks", pruned.ranks(), "minimal:", pruned.minimal)

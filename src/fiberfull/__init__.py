@@ -57,7 +57,6 @@ from .resolution import (
     Resolution,
     betti_table,
     depth_and_regularity,
-    extremal_betti,
     free_resolution,
     krull_dimension,
 )

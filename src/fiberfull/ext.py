@@ -87,18 +87,16 @@ def _field_base_rank(ring):
     return ring.num_positive
 
 
-def local_cohomology_hilbert(pres, i, window, permissive=False):
+def local_cohomology_hilbert(pres, i, window):
     """Hilbert table of the i-th graded local cohomology of ambient/<gens>
     supported at the ideal of positive-degree variables, over a field base.
 
-    Computed as the base dual of Ext^{r-i} twisted by -delta; vanishes for
-    i > r (returned as a zero table only when ``permissive``)."""
+    Computed as the base dual of Ext^{r-i} twisted by -delta; an index
+    i > r, where it vanishes, is an error."""
     r = _field_base_rank(pres.ring)
     if i < 0:
         raise IndexOutOfRangeError("negative cohomological index")
     if i > r:
-        if permissive:
-            return zero_table(window)
         raise IndexOutOfRangeError("cohomological index %d exceeds the variable count %d" % (i, r))
     return _tables_from_resolution(free_resolution(pres), window, (i,))[0]
 

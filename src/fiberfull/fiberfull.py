@@ -34,6 +34,7 @@ from .groebner import (
     saturate,
     weight_vector_for,
 )
+from .hilbert import zero_table
 from .modules import GradedFreeModule, PolyVector, SubmodulePresentation
 from .orders import TermOrder
 from .resolution import betti_table, depth_and_regularity, free_resolution
@@ -193,9 +194,7 @@ def _leading_parameter_content(G):
             if mon[:r] == xpart:
                 coeffs[mon[r]] = c
         content = parameter_polynomial(ring, [coeffs.get(k, ring.field.zero) for k in range(max(coeffs) + 1)])
-        if content.is_constant():
-            continue
-        h = parameter_lcm(h, content) if not h.is_constant() else parameter_monic(content)
+        h = parameter_lcm(h, content)
     return h
 
 
@@ -334,14 +333,9 @@ def fiber_full_locus(pres):
     """Monic polynomial g(t) whose nonvanishing locus is exactly the set of
     primes (t - c) at which the module is fiber-full."""
     report = fiber_full_check(pres, at=0)
-    ring = pres.ring
-    g = ring.one()
-    certs = [report.module_certificate] + [v.certificate for v in report.verdicts]
-    for cert in certs:
-        gi = cert.annihilator
-        if gi.is_constant():
-            continue
-        g = parameter_lcm(g, gi) if not g.is_constant() else parameter_monic(gi)
+    g = pres.ring.one()
+    for cert in [report.module_certificate] + [v.certificate for v in report.verdicts]:
+        g = parameter_lcm(g, cert.annihilator)
     return g
 
 
@@ -358,29 +352,32 @@ def specialize_presentation(pres, c, target_ring=None):
 
 def generic_point(pres):
     """Smallest nonnegative integer c with g(c) != 0 for the locus
-    polynomial g; stands in for the generic fiber."""
+    polynomial g; stands in for the generic fiber.  g has at most deg g
+    roots, so the candidates 0..deg g suffice (fewer in a small field)."""
     g = fiber_full_locus(pres)
     field = pres.ring.field
-    limit = field.p if field.p is not None else 10**6
-    c = 0
-    while c < limit:
-        if g.is_constant() or evaluate_parameter(g, c) != field.zero:
+    candidates = len(parameter_coefficients(g))
+    if field.p is not None:
+        candidates = min(candidates, field.p)
+    for c in range(candidates):
+        if evaluate_parameter(g, c) != field.zero:
             return c
-        c += 1
     raise InvalidArgumentError("no good specialization point exists in the field")
 
 
 def fiber_hilbert_compare(pres, points, i, window):
     """Local cohomology tables of the fibers at the given points ("generic"
-    resolves to the smallest good integer point).  Inside the fiber-full
-    locus these tables agree."""
-    resolved = []
-    for c in points:
-        resolved.append(generic_point(pres) if c == "generic" else c)
+    resolves to the smallest good integer point, computed once).  Inside
+    the fiber-full locus these tables agree; above the number r of
+    positive-degree variables they vanish."""
+    generic = generic_point(pres) if "generic" in points else None
     tables = []
-    for c in resolved:
-        spec = specialize_presentation(pres, c)
-        tables.append(local_cohomology_hilbert(spec, i, window, permissive=True))
+    for c in points:
+        spec = specialize_presentation(pres, generic if c == "generic" else c)
+        if i > pres.ring.num_positive:
+            tables.append(zero_table(window))
+        else:
+            tables.append(local_cohomology_hilbert(spec, i, window))
     return tables
 
 

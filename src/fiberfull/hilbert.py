@@ -190,9 +190,6 @@ class HilbertTable:
     def is_zero(self):
         return all(v == 0 for v in self.dims.values())
 
-    def nonzero_degrees(self):
-        return [nu for nu, d in sorted(self.dims.items()) if d != 0]
-
     def __eq__(self, other):
         return (
             isinstance(other, HilbertTable)

@@ -1,6 +1,11 @@
-"""Graded free resolutions by iterated syzygies, minimization by pivoting on
-unit entries, graded Betti numbers, extremal Betti positions, depth and
+"""Graded free resolutions by iterated syzygies, pruned by pivoting on unit
+entries, graded Betti numbers, extremal Betti positions, depth and
 Castelnuovo-Mumford regularity.
+
+Every ring takes the same route: the Schreyer frame, then one pruning sweep.
+Over k[x] the result is the minimal resolution; over k[t][x] it is a free
+resolution that may keep degree-0 entries such as t - 1, so it carries no
+Betti table.
 
 Each syzygy level is re-sorted so that leading monomials descend
 lexicographically before the next level is formed; with that ordering the
@@ -68,14 +73,13 @@ def _sorted_level(marked, twists, ring):
 
 
 def free_resolution(pres):
-    """The graded free resolution of ambient/<generators>.  It is minimal
-    exactly when the ring has no parameter: unit entries of the Schreyer
-    frame are pruned.  Over k[t][x] minimality is not defined and the frame
-    itself is returned."""
+    """The graded free resolution of ambient/<generators>: the Schreyer
+    frame with the unit entries pruned.  It is minimal exactly when the ring
+    has no parameter; over k[t][x] degree-0 entries such as t - 1 can
+    remain, so it is a free resolution that is not claimed minimal."""
     res = _schreyer_frame(pres)
-    if not res.ring.has_parameter:
-        _minimize_in_place(res)
-        res.minimal = True
+    _minimize_in_place(res)
+    res.minimal = not res.ring.has_parameter
     return res
 
 
@@ -113,62 +117,52 @@ def _schreyer_frame(pres):
     return Resolution(modules, diffs, False)
 
 
-def _to_matrices(res):
-    mats = []
-    for k, cols in enumerate(res.diffs):
-        rank_target = res.modules[k].rank
-        mats.append([[col.components[row] for col in cols] for row in range(rank_target)])
-    return mats
-
-
-def _unit_entry(mats):
-    """First nonzero constant entry, lowest homological index first, then
-    row-major within the differential."""
-    for lvl, A in enumerate(mats):
-        for p, row in enumerate(A):
-            for q, entry in enumerate(row):
-                if not entry.is_zero() and entry.is_constant():
-                    return lvl, p, q
-    return None
-
-
 def _minimize_in_place(res):
+    """Split off the trivial subcomplex of every unit entry, in one sweep per
+    level: rows in order, each scanned from column 0 for a nonzero constant.
+    A pivot deletes its row, so the scan stays on the same row index.
+
+    An update A[k][l] -= A[k][q] * A[p][l] / u of homogeneous entries makes
+    a new unit only when both factors have degree 0.  Over a positively
+    graded k[x] that makes A[k][q] a unit in a row already scanned, which
+    the scan ruled out: one sweep leaves no unit and the result is minimal.
+    Over k[t][x] degree-0 entries such as t - 1 may combine into a unit the
+    sweep has passed; the result is still a free resolution of the same
+    module."""
     ring = res.ring
     field = ring.field
-    mats = _to_matrices(res)
+    mats = [[[col.components[row] for col in cols] for row in range(res.modules[k].rank)]
+            for k, cols in enumerate(res.diffs)]
     twists = [list(m.twists) for m in res.modules]
-    while True:
-        hit = _unit_entry(mats)
-        if hit is None:
-            break
-        lvl, p, q = hit
-        A = mats[lvl]
-        u = A[p][q].constant_value()
-        nrows = len(A)
-        ncols = len(A[0])
-        # split off the trivial subcomplex spanned by the pivot: Gaussian
-        # update on this differential, then delete row p and column q; the
-        # neighbouring differentials only lose the matching row/column
-        for l in range(ncols):
-            if l == q:
+    for lvl, A in enumerate(mats):
+        p = 0
+        while p < len(A):
+            q = next((q for q, entry in enumerate(A[p])
+                      if not entry.is_zero() and entry.is_constant()), None)
+            if q is None:
+                p += 1
                 continue
-            factor = A[p][l]
-            if factor.is_zero():
-                continue
-            scale = factor * field.inv(u)
-            for k in range(nrows):
-                if k != p and not A[k][q].is_zero():
-                    A[k][l] = A[k][l] - A[k][q] * scale
-        for k in range(nrows):
-            del A[k][q]
-        del A[p]
-        del twists[lvl + 1][q]
-        del twists[lvl][p]
-        if lvl + 1 < len(mats):
-            del mats[lvl + 1][q]
-        if lvl >= 1:
-            for row in mats[lvl - 1]:
-                del row[p]
+            # Gaussian update on this differential, then delete row p and
+            # column q; the neighbouring differentials only lose the
+            # matching row/column
+            pivot_row = A.pop(p)
+            inv = field.inv(pivot_row[q].constant_value())
+            for l, factor in enumerate(pivot_row):
+                if l == q or factor.is_zero():
+                    continue
+                scale = factor * inv
+                for row in A:
+                    if not row[q].is_zero():
+                        row[l] = row[l] - row[q] * scale
+            for row in A:
+                del row[q]
+            del twists[lvl + 1][q]
+            del twists[lvl][p]
+            if lvl + 1 < len(mats):
+                del mats[lvl + 1][q]
+            if lvl >= 1:
+                for row in mats[lvl - 1]:
+                    del row[p]
     modules = [GradedFreeModule(ring, tuple(tw)) for tw in twists]
     diffs = []
     for k, A in enumerate(mats):
@@ -249,12 +243,6 @@ def betti_table(res):
             key = (i, tau - i)
             entries[key] = entries.get(key, 0) + 1
     return BettiTable(entries)
-
-
-def extremal_betti(table):
-    """Positions (i, j, beta) with no other nonzero entry weakly
-    north-east of them."""
-    return set(table.extremal)
 
 
 def depth_and_regularity(table, num_vars):

@@ -1,6 +1,6 @@
 """Curated test instances shared across the suite."""
 
-from fiberfull import SubmodulePresentation, make_ring
+from fiberfull import GF, SubmodulePresentation, make_ring, parse_input
 
 # Twenty square-free monomial ideals on four variables covering points,
 # edges, paths, cycles, stars, complete graphs, simplex skeleta, cones and
@@ -79,6 +79,27 @@ def macaulay_suite(field=None):
     R = ring3(field)
     out.append(ideal_from_strings(R, ("x^2 + y*z", "x*y")))
     out.append(ideal_from_strings(R, ("x^2 - y^2", "x*y*z")))
+    return out
+
+
+def parameter_families():
+    """Name -> presentation over k[t][x]: the k[t][x] inputs pinned by the
+    CLI golden test, the homogenized conic family and two fixed ideals with
+    planted torsion at t = 0, 1, 2, 3."""
+    from test_golden import LOCUS_INPUT, PARAM_FAMILY, TORSION_FP7
+
+    out = {}
+    for name, text in (("golden-resolve", PARAM_FAMILY), ("golden-fiberfull", TORSION_FP7),
+                       ("golden-locus", LOCUS_INPUT)):
+        spec = parse_input(text)
+        out[name] = SubmodulePresentation.ideal(spec.ring, list(spec.generators))
+    R3t = make_ring([1, 1, 1], True, names=["x", "y", "z"])
+    out["conic-family"] = ideal_from_strings(R3t, ("x*z - t*y^2",))
+    R3p = make_ring([1, 1, 1], True, field=GF(32003), names=["x", "y", "z"])
+    out["ideal-A"] = ideal_from_strings(
+        R3p, ("(t-1)*x*y", "(t-2)*y*z", "t*x*z", "x^2*y - t*z^3"))
+    out["ideal-B"] = ideal_from_strings(
+        R3p, ("(t-1)*x^2", "(t-3)*y^2", "x*z - t*y^2", "(t-2)*z^3"))
     return out
 
 

@@ -1,9 +1,12 @@
 """Shared test utilities: random element generators and independent oracles
 (brute-force standard-monomial counting, Krull dimension by a subset scan,
 S-pair closure, degreewise exactness by exact linear algebra, division by a
-linear scan of the basis)."""
+linear scan of the basis, minimization that restarts its scan after every
+pivot)."""
 
 from fiberfull import (
+    GradedFreeModule,
+    PolyVector,
     SubmodulePresentation,
     make_ring,
     monomials_of_degree,
@@ -173,3 +176,56 @@ def linear_scan_division(tv, basis, morder, field, skip=None):
         pos = 0
         quotients.setdefault(idx, []).append((q, coeff))
     return out, quotients
+
+
+def restart_minimize(res):
+    """Prune the unit entries of a resolution in place by rescanning from the
+    first differential after every pivot: the first nonzero constant entry,
+    lowest homological index first, then row-major."""
+    ring = res.ring
+    field = ring.field
+    mats = [[[col.components[row] for col in cols] for row in range(res.modules[k].rank)]
+            for k, cols in enumerate(res.diffs)]
+    twists = [list(m.twists) for m in res.modules]
+
+    def unit_entry():
+        for lvl, A in enumerate(mats):
+            for p, row in enumerate(A):
+                for q, entry in enumerate(row):
+                    if not entry.is_zero() and entry.is_constant():
+                        return lvl, p, q
+        return None
+
+    while True:
+        hit = unit_entry()
+        if hit is None:
+            break
+        lvl, p, q = hit
+        A = mats[lvl]
+        u = A[p][q].constant_value()
+        for l in range(len(A[0])):
+            if l == q or A[p][l].is_zero():
+                continue
+            scale = A[p][l] * field.inv(u)
+            for k in range(len(A)):
+                if k != p and not A[k][q].is_zero():
+                    A[k][l] = A[k][l] - A[k][q] * scale
+        for row in A:
+            del row[q]
+        del A[p]
+        del twists[lvl + 1][q]
+        del twists[lvl][p]
+        if lvl + 1 < len(mats):
+            del mats[lvl + 1][q]
+        if lvl >= 1:
+            for row in mats[lvl - 1]:
+                del row[p]
+    modules = [GradedFreeModule(ring, tuple(tw)) for tw in twists]
+    diffs = [[PolyVector(modules[k], tuple(row[c] for row in A)) for c in range(len(twists[k + 1]))]
+             for k, A in enumerate(mats)]
+    while len(modules) > 1 and modules[-1].rank == 0:
+        modules.pop()
+        if diffs:
+            diffs.pop()
+    res.modules = modules
+    res.diffs = diffs

@@ -6,6 +6,8 @@ import random
 import pytest
 
 from fiberfull import (
+    GF,
+    QQ,
     GradedFreeModule,
     InvalidArgumentError,
     PolyVector,
@@ -23,7 +25,16 @@ from fiberfull import (
     parameter_torsion,
     verify_degeneration,
 )
-from fixtures import hypersurface_conic, ideal_from_strings, squarefree_presentations, twisted_cubic
+from fiberfull.ext import _ext_from_resolution
+from fiberfull.fiberfull import generic_point
+from fiberfull.resolution import _schreyer_frame
+from fixtures import (
+    hypersurface_conic,
+    ideal_from_strings,
+    parameter_families,
+    squarefree_presentations,
+    twisted_cubic,
+)
 from helpers import vector_in_submodule
 
 
@@ -128,6 +139,87 @@ def test_pointwise_locus_consistency_random_planted():
             rep = fiber_full_check(M, at=c)
             root = evaluate_parameter(g, c) == Rt.field.zero
             assert rep.overall == (not root), (trial, c)
+
+
+def test_parameter_lcm_identities():
+    # lcm with 1 is the monic associate, lcm with a nonzero constant is the
+    # identity on monic polynomials: the locus and the leading content start
+    # from 1 and fold every annihilator in with parameter_lcm alone
+    rng = random.Random(20261018)
+    for field in (GF(7), GF(32003), QQ):
+        Rt = make_ring([1], True, field=field, names=["x"])
+        t = Rt.parameter()
+        for _ in range(200):
+            f = Rt.zero()
+            while f.is_zero():
+                for k in range(rng.randint(0, 4)):
+                    f = f + Rt.constant(rng.randint(-9, 9)) * t ** k
+                f = f + Rt.constant(rng.choice((1, 2, 3, -1))) * t ** rng.randint(0, 4)
+            c = Rt.constant(rng.choice((1, 2, 3, 5, -1)))
+            h = parameter_monic(f)
+            assert parameter_lcm(Rt.one(), f) == h
+            assert parameter_lcm(h, c) == h
+
+
+PARAMETER_FAMILIES = parameter_families()
+
+
+@pytest.mark.parametrize("name", PARAMETER_FAMILIES)
+def test_certificates_match_the_schreyer_frame(name):
+    # the pruned resolution and the all-pairs frame give isomorphic Ext
+    # modules, so the torsion annihilators, the verdicts and the locus agree
+    pres = PARAMETER_FAMILIES[name]
+    field = pres.ring.field
+    frame = _schreyer_frame(pres)
+    reference = [parameter_torsion(_ext_from_resolution(frame, i)).annihilator
+                 for i in range(pres.ring.num_positive + 1)]
+    locus = parameter_torsion(pres).annihilator
+    for g in reference:
+        locus = parameter_lcm(locus, g)
+    assert fiber_full_locus(pres) == locus
+    for c in range(4):
+        rep = fiber_full_check(pres, at=c)
+        assert [v.certificate.annihilator for v in rep.verdicts] == reference
+        assert [v.free_over_base for v in rep.verdicts] == [
+            evaluate_parameter(g, c) != field.zero for g in reference]
+
+
+def test_generic_point_checks_deg_g_plus_one_candidates():
+    Rq = _line_ring()
+    x, t = Rq.variable(0), Rq.parameter()
+    roots012 = SubmodulePresentation.ideal(Rq, [t * (t - Rq.one()) * (t - Rq.constant(2)) * x])
+    assert generic_point(roots012) == 3
+
+    R2 = make_ring([1], True, field=GF(2), names=["x"])
+    x, t = R2.variable(0), R2.parameter()
+    every_point_bad = SubmodulePresentation.ideal(R2, [t * (t + R2.one()) * x])
+    assert str(fiber_full_locus(every_point_bad)) == "t^2 + t"
+    with pytest.raises(InvalidArgumentError):
+        generic_point(every_point_bad)
+
+
+def test_fiber_hilbert_compare_resolves_generic_once(monkeypatch):
+    import fiberfull.fiberfull
+
+    calls = []
+
+    def counting(pres):
+        calls.append(pres)
+        return generic_point(pres)
+
+    monkeypatch.setattr(fiberfull.fiberfull, "generic_point", counting)
+    Rt = _line_ring()
+    M = SubmodulePresentation.ideal(Rt, [Rt.parse("t*x")])
+    tabs = fiber_hilbert_compare(M, ["generic", 0, "generic"], 0, (0, 0))
+    assert len(calls) == 1
+    assert tabs[0] == tabs[2] != tabs[1]
+
+
+def test_fiber_hilbert_compare_vanishes_above_r():
+    Rt = _line_ring()
+    M = SubmodulePresentation.ideal(Rt, [Rt.parse("t*x")])
+    for tab in fiber_hilbert_compare(M, [0, 1, "generic"], 2, (-3, 1)):
+        assert tab.window == (-3, 1) and tab.is_zero()
 
 
 def test_fiber_hilbert_compare_conic_family():

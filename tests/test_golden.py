@@ -2,10 +2,10 @@
 
 The hashes pin the exact bytes, not only the mathematics: a change in the
 division choices of the term-vector engine (which basis element reduces
-which term) shows up in the unminimized frame printed by ``resolve`` over
-k[t][x], in the torsion generators of ``fiberfull`` and in the family of
-``cv-verify``.  A change that alters any of these bytes on purpose must say
-so and update the hash."""
+which term) or in the pruning of unit entries shows up in the resolution
+printed by ``resolve`` over k[t][x], in the torsion generators of
+``fiberfull`` and in the family of ``cv-verify``.  A change that alters
+any of these bytes on purpose must say so and update the hash."""
 
 import hashlib
 
@@ -39,7 +39,7 @@ GOLDEN = [
     (MINORS_2X3, ["cv-verify", "--order", "lex"],
      "bf0a0cd72ca7107b46d13ee07df1e3c478deb4747606003d994eff998eb461be"),
     (PARAM_FAMILY, ["resolve"],
-     "d30b06f6c76ec9b3ae917a89f0d8c67de4dd3642661f496d4223376cb529b826"),
+     "ab623d1baf6c41f53d3524b7942548b097b7ffd8aedc51899ec2f5e89342830d"),
     (TORSION_FP7, ["fiberfull", "--at", "0"],
      "96a18cfe3a4a30c8bd0cc6ea7ef556378a9a977b19a1b0f8d369682ae44a8c18"),
     (LOCUS_INPUT, ["locus"],

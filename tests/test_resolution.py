@@ -4,20 +4,28 @@ regularity; the twisted cubic checked against a by-hand syzygy computation."""
 import pytest
 
 from fiberfull import (
+    GF,
+    QQ,
     InvalidArgumentError,
     SubmodulePresentation,
     TermOrder,
     betti_table,
     buchberger,
     depth_and_regularity,
-    extremal_betti,
     free_resolution,
     krull_dimension,
     make_ring,
 )
 from fiberfull.resolution import _schreyer_frame
-from fixtures import ideal_from_strings, ring2, ring4, twisted_cubic
-from helpers import resolution_exact_in_degree, vector_in_submodule
+from fixtures import (
+    ideal_from_strings,
+    macaulay_suite,
+    parameter_families,
+    ring2,
+    ring4,
+    twisted_cubic,
+)
+from helpers import restart_minimize, resolution_exact_in_degree, vector_in_submodule
 
 
 def test_koszul_two_variables():
@@ -29,7 +37,7 @@ def test_koszul_two_variables():
     assert res.check_complex()
     bt = betti_table(res)
     assert bt.entries == {(0, 0): 1, (1, 0): 2, (2, 0): 1}
-    assert extremal_betti(bt) == {(2, 0, 1)}
+    assert bt.extremal == {(2, 0, 1)}
     assert depth_and_regularity(bt, 2) == (0, 0)
 
 
@@ -49,7 +57,7 @@ def test_ring_itself():
     assert res.ranks() == [1]
     bt = betti_table(res)
     assert bt.entries == {(0, 0): 1}
-    assert extremal_betti(bt) == {(0, 0, 1)}
+    assert bt.extremal == {(0, 0, 1)}
 
 
 def test_twisted_cubic_resolution_and_betti():
@@ -61,7 +69,7 @@ def test_twisted_cubic_resolution_and_betti():
     assert res.check_complex()
     bt = betti_table(res)
     assert bt.entries == {(0, 0): 1, (1, 1): 3, (2, 1): 2}
-    assert extremal_betti(bt) == {(2, 1, 2)}
+    assert bt.extremal == {(2, 1, 2)}
     assert depth_and_regularity(bt, 4) == (2, 1)
     assert krull_dimension(P) == 2
 
@@ -152,6 +160,45 @@ def test_beta0_counts_minimal_generators():
     P2 = ideal_from_strings(R, ("x^2", "y^3"))
     bt2 = betti_table(free_resolution(P2))
     assert bt2.entries[(1, 1)] == 1 and bt2.entries[(1, 2)] == 1
+
+
+def test_one_sweep_meets_the_pivots_of_the_restart_scan():
+    # over a positively graded k[x] no pivot creates a unit in a row already
+    # scanned, so one sweep per level gives the same resolution as a scan
+    # that restarts after every pivot
+    for field in (QQ, GF(32003)):
+        for pres in macaulay_suite(field):
+            reference = _schreyer_frame(pres)
+            restart_minimize(reference)
+            res = free_resolution(pres)
+            assert res.minimal
+            assert res.modules == reference.modules, pres.generators
+            assert res.diffs == reference.diffs, pres.generators
+
+
+def _twist_polynomial(res):
+    """sum_i (-1)^i sum_tau z^tau as {tau: coefficient}, zeros dropped."""
+    poly = {}
+    for i, module in enumerate(res.modules):
+        for tau in module.twists:
+            poly[tau] = poly.get(tau, 0) + (-1) ** i
+    return {tau: c for tau, c in poly.items() if c}
+
+
+PARAMETER_FAMILIES = parameter_families()
+
+
+@pytest.mark.parametrize("name", PARAMETER_FAMILIES)
+def test_pruned_resolution_over_parameter_ring(name):
+    pres = PARAMETER_FAMILIES[name]
+    res = free_resolution(pres)
+    frame = _schreyer_frame(pres)
+    assert not res.minimal
+    assert res.check_complex()
+    ranks, frame_ranks = res.ranks(), frame.ranks()
+    assert len(ranks) <= len(frame_ranks)
+    assert all(a <= b for a, b in zip(ranks, frame_ranks)), (ranks, frame_ranks)
+    assert _twist_polynomial(res) == _twist_polynomial(frame)
 
 
 def test_nonminimal_resolution_rejected_by_betti():
