@@ -109,12 +109,38 @@ def local_cohomology_tables(pres, window):
 
 def _tables_from_resolution(res, window, indices):
     """Tables of H^i for the given indices, each the base dual of
-    Ext^{r-i} read off the one resolution ``res``."""
+    Ext^{r-i} read off the one resolution ``res``.
+
+    Only dimensions are needed, so no Ext module is presented.  With Q_j
+    the Hilbert function of the cokernel of the transposed d_j (Q_0 that of
+    F_0^*), in every degree dim Ext^j = dim ker d_{j+1}^T - dim im d_j^T =
+    Q_{j+1} + Q_j - dim F_{j+1}^*, and Ext^n = Q_n at the length n."""
     ring = res.ring
     r, delta = ring.num_positive, ring.delta
     lo, hi = window
+    inner = (-hi - delta, -lo - delta)
+    n = res.length
+    cokernels = {}
+
+    def coker(j):
+        if j not in cokernels:
+            relations = _dual_columns(res, j) if j >= 1 else []
+            cokernels[j] = hilbert_function(
+                SubmodulePresentation(res.modules[j].dual(), relations), inner).dims
+        return cokernels[j]
+
     out = []
     for i in indices:
-        inner = hilbert_function(_ext_from_resolution(res, r - i), (-hi - delta, -lo - delta))
-        out.append(HilbertTable(window, {nu: inner.dims[-nu - delta] for nu in range(lo, hi + 1)}))
+        j = r - i
+        if j > n:
+            out.append(zero_table(window))
+            continue
+        if j == n:
+            dims = coker(n)
+        else:
+            free = hilbert_function(SubmodulePresentation(res.modules[j + 1].dual(), []),
+                                    inner).dims
+            q1, q0 = coker(j + 1), coker(j)
+            dims = {nu: q1[nu] + q0[nu] - free[nu] for nu in free}
+        out.append(HilbertTable(window, {nu: dims[-nu - delta] for nu in range(lo, hi + 1)}))
     return out

@@ -23,7 +23,7 @@ nonvanishing set is exactly the set of good fibers.
 from dataclasses import dataclass
 
 from .errors import InvalidArgumentError, TheoremViolationError
-from .ext import _tables_from_resolution, ext_modules, local_cohomology_hilbert
+from .ext import _ext_from_resolution, _tables_from_resolution, local_cohomology_hilbert
 from .groebner import (
     buchberger,
     contract_to_parameter,
@@ -37,7 +37,7 @@ from .groebner import (
 from .hilbert import zero_table
 from .modules import GradedFreeModule, PolyVector, SubmodulePresentation
 from .orders import TermOrder
-from .resolution import betti_table, depth_and_regularity, free_resolution
+from .resolution import betti_table, depth_and_regularity, free_resolution, specialize_resolution
 
 
 # ---------------------------------------------------------------------------
@@ -313,15 +313,18 @@ def fiber_full_check(pres, at=0):
     """Decide fiber-fullness of ambient/<gens> at the prime (t - at): the
     module and every Ext^i against the ambient ring, i = 0..r (r counting
     positive-degree variables only), must be torsion-free there."""
-    ring = pres.ring
-    if not ring.has_parameter:
+    if not pres.ring.has_parameter:
         raise InvalidArgumentError("fiber-fullness is checked over a parameter ring")
-    r = ring.num_positive
+    return _fiber_full_report(pres, free_resolution(pres), at)
+
+
+def _fiber_full_report(pres, res, at):
+    """fiber_full_check with the Ext modules read off the resolution
+    ``res`` of the module."""
     module_cert = parameter_torsion(pres)
-    exts = ext_modules(pres, top_index=r)
     verdicts = []
-    for i, ext in enumerate(exts):
-        cert = parameter_torsion(ext)
+    for i in range(pres.ring.num_positive + 1):
+        cert = parameter_torsion(_ext_from_resolution(res, i))
         cert = TorsionCertificate(i, cert.torsion_generators, cert.annihilator)
         verdicts.append(IndexVerdict(i, _free_at(cert, at), cert))
     module_free = _free_at(module_cert, at)
@@ -433,11 +436,15 @@ def verify_degeneration(pres, order, window):
     """Full verification pipeline for one homogeneous ideal and term order:
     initial ideal and square-freeness, weight vector and homogenized family,
     fiber-fullness of the family at t = 0, local cohomology tables of both
-    ends, Betti tables, extremal positions, depth and regularity.
+    ends, Betti tables, extremal positions, depth and regularity.  Only the
+    family is resolved; the ends take its resolution specialized at t = 1
+    and t = 0.
 
     When the initial ideal is square-free and the family is fiber-full, the
     tables must agree degreewise; if they do not, something is inconsistent
-    and a theorem-violation error carrying the report is raised.
+    and a theorem-violation error carrying the report is raised.  A family
+    with torsion over k[t] is not flat, which a Groebner family always is,
+    and raises a theorem-violation error too.
     """
     ring = pres.ring
     if ring.has_parameter:
@@ -453,10 +460,18 @@ def verify_degeneration(pres, order, window):
     squarefree = is_squarefree(init)
     omega = weight_vector_for(G)
     family = homogenize_omega(G, omega)
-    ff = fiber_full_check(family, at=0)
+    res_family = free_resolution(family)
+    ff = _fiber_full_report(family, res_family, 0)
 
-    res_ideal = free_resolution(pres)
-    res_init = free_resolution(init)
+    # the family is a Groebner degeneration, hence flat over k[t], and its
+    # fibers at t = 1 and t = 0 are the ideal and its initial ideal; so the
+    # family's resolution, specialized, resolves both ends.  The module
+    # certificate confirms the flatness before it is relied on
+    if not ff.module_certificate.is_torsion_free():
+        raise TheoremViolationError(
+            "the Groebner family has torsion over the parameter line, so it is not flat")
+    res_ideal = specialize_resolution(res_family, 1)
+    res_init = specialize_resolution(res_family, 0)
     tables_ideal = _tables_from_resolution(res_ideal, window, range(r + 1))
     tables_init = _tables_from_resolution(res_init, window, range(r + 1))
     equal = all(a == b for a, b in zip(tables_ideal, tables_init))

@@ -5,7 +5,8 @@ recovery.
 
 The engine works on "term vectors": lists of ``(key, (monomial, component),
 coefficient)`` sorted descending under the active module order.  Keys are
-precomputed order keys, so merging and comparisons never re-derive them.
+precomputed order keys, so merging and comparisons never re-derive them;
+multiplying a term vector by a term adds the order's shift vector to its keys.
 Public entry points convert to and from :class:`PolyVector`.
 
 Division looks up divisors in a "lead index": the basis positions grouped by
@@ -15,6 +16,7 @@ group finds the same first divisor as a scan of the whole basis.
 """
 
 import heapq
+from operator import add
 
 from .errors import InvalidArgumentError, OrderMismatchError, WeightVectorMismatchError
 from .modules import GradedFreeModule, PolyVector, SubmodulePresentation
@@ -83,9 +85,9 @@ def _tv_scale(tv, c, field):
 
 
 def _tv_mul_term(tv, mon, coeff, morder, field):
-    key, mul = morder.key, field.mul
-    return [(key(nm := mon_mul(m, mon), comp), (nm, comp), mul(cf, coeff))
-            for _, (m, comp), cf in tv]
+    shift, mul = morder.shift(mon), field.mul
+    return [(tuple(map(add, k, shift)), (mon_mul(m, mon), comp), mul(cf, coeff))
+            for k, (m, comp), cf in tv]
 
 
 class _Marked:

@@ -3,6 +3,10 @@
 Orders are exposed as key functions producing tuples; bigger key means
 bigger monomial.  All orders here are global (1 is minimal) and
 multiplicative, so sorted term lists stay sorted under term multiplication.
+Keys are flat tuples whose entries are linear in the exponents, so the key
+of m * u is the key of m plus a shift vector that depends on u alone
+(``shift``); multiplying a term list by a term updates its keys by one
+entrywise sum instead of re-deriving them.
 
 Module monomials are pairs ``(monomial, component)``.  The standing module
 order is term-over-position (lower component index wins ties); syzygy levels
@@ -123,6 +127,10 @@ class ModuleOrder:
     def key(self, mon, comp):
         raise NotImplementedError
 
+    def shift(self, mon):
+        """The vector adding which to key(m, c) gives key(m * mon, c)."""
+        raise NotImplementedError
+
 
 class TOPOrder(ModuleOrder):
     """Term over position: ring order first, lower component wins ties."""
@@ -134,7 +142,10 @@ class TOPOrder(ModuleOrder):
         self.term_order = term_order
 
     def key(self, mon, comp):
-        return (self.term_order.key(self.ring, mon), -comp)
+        return (*self.term_order.key(self.ring, mon), -comp)
+
+    def shift(self, mon):
+        return (*self.term_order.key(self.ring, mon), 0)
 
     def __eq__(self, other):
         return (
@@ -149,17 +160,42 @@ class TOPOrder(ModuleOrder):
 
 class SchreyerOrder(ModuleOrder):
     """Order induced by the leading terms of a marked basis living in a
-    parent module: compare images of leading terms, then position."""
+    parent module: compare images of leading terms, then position.
 
-    __slots__ = ("parent", "leads")
+    The key is kept flat over a tower of such orders.  Following the leads
+    down to the first order that is not a Schreyer order (the base) sends
+    (m, c) to (m * image[c], base_comp[c]), and the nested comparison is the
+    base key of that term, then the components met on the way up, lowest
+    level first, each with the lower index winning.  ``rank[c]`` numbers
+    those component paths in that order and is the last entry of the key."""
+
+    __slots__ = ("parent", "leads", "base", "image", "base_comp", "rank", "_paths")
 
     def __init__(self, parent, leads):
         self.parent = parent
         self.leads = tuple(leads)
+        if isinstance(parent, SchreyerOrder):
+            self.base = parent.base
+            self.image = tuple(mon_mul(pm, parent.image[pc]) for pm, pc in self.leads)
+            self.base_comp = tuple(parent.base_comp[pc] for _, pc in self.leads)
+            self._paths = tuple(parent._paths[pc] + (-c,) for c, (_, pc) in enumerate(self.leads))
+        else:
+            self.base = parent
+            self.image = tuple(pm for pm, _ in self.leads)
+            self.base_comp = tuple(pc for _, pc in self.leads)
+            self._paths = tuple((-c,) for c in range(len(self.leads)))
+        order = sorted(range(len(self.leads)), key=self._paths.__getitem__)
+        rank = [0] * len(order)
+        for position, c in enumerate(order):
+            rank[c] = position
+        self.rank = tuple(rank)
 
     def key(self, mon, comp):
-        pm, pc = self.leads[comp]
-        return (self.parent.key(mon_mul(mon, pm), pc), -comp)
+        return (*self.base.key(mon_mul(mon, self.image[comp]), self.base_comp[comp]),
+                self.rank[comp])
+
+    def shift(self, mon):
+        return (*self.base.shift(mon), 0)
 
 
 class BlockTOPOrder(ModuleOrder):
@@ -174,4 +210,7 @@ class BlockTOPOrder(ModuleOrder):
         self.split = split
 
     def key(self, mon, comp):
-        return (1 if comp < self.split else 0, self.term_order.key(self.ring, mon), -comp)
+        return (1 if comp < self.split else 0, *self.term_order.key(self.ring, mon), -comp)
+
+    def shift(self, mon):
+        return (0, *self.term_order.key(self.ring, mon), 0)

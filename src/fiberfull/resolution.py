@@ -17,7 +17,7 @@ from .errors import InvalidArgumentError
 from .groebner import _schreyer_level, _tv_to_vector, buchberger
 from .hilbert import monomial_quotient_dimension
 from .modules import GradedFreeModule, PolyVector
-from .orders import SchreyerOrder
+from .rings import Polynomial, mon_mul
 
 
 class Resolution:
@@ -83,6 +83,23 @@ def free_resolution(pres):
     return res
 
 
+def specialize_resolution(res, c):
+    """The complex F (x) k[t]/(t - c) of a resolution F over k[t][x], with
+    its unit entries pruned: the minimal resolution of M/(t - c)M over k[x]
+    when the module M that F resolves has no (t - c)-torsion, for then
+    Tor_1 over k[t] vanishes and the specialized complex stays exact."""
+    target = res.ring.without_parameter()
+    modules = [GradedFreeModule(target, m.twists) for m in res.modules]
+    diffs = [[PolyVector(modules[k], tuple(p.specialize_parameter(c, target)
+                                           for p in col.components))
+              for col in cols]
+             for k, cols in enumerate(res.diffs)]
+    out = Resolution(modules, diffs, False)
+    _minimize_in_place(out)
+    out.minimal = True
+    return out
+
+
 def _schreyer_frame(pres):
     """The unminimized resolution by iterated Schreyer syzygies."""
     ring = pres.ring
@@ -106,11 +123,10 @@ def _schreyer_frame(pres):
         cols = [_tv_to_vector(b.tv, modules[-1]) for b in marked]
         modules.append(level_module)
         diffs.append(cols)
-        syz_marked, _, _, syz_twists = _schreyer_level(
+        syz_marked, morder, _, syz_twists = _schreyer_level(
             marked, morder, ring.field, ring, parent_twists)
         if not syz_marked:
             break
-        morder = SchreyerOrder(morder, [b.lead_mm for b in marked])
         parent_twists = twists
         marked, twists = _sorted_level(syz_marked, syz_twists, ring)
 
@@ -120,7 +136,7 @@ def _schreyer_frame(pres):
 def _minimize_in_place(res):
     """Split off the trivial subcomplex of every unit entry, in one sweep per
     level: rows in order, each scanned from column 0 for a nonzero constant.
-    A pivot deletes its row, so the scan stays on the same row index.
+    A pivot deletes its row, so the scan moves on to the next row.
 
     An update A[k][l] -= A[k][q] * A[p][l] / u of homogeneous entries makes
     a new unit only when both factors have degree 0.  Over a positively
@@ -128,50 +144,79 @@ def _minimize_in_place(res):
     the scan ruled out: one sweep leaves no unit and the result is minimal.
     Over k[t][x] degree-0 entries such as t - 1 may combine into a unit the
     sweep has passed; the result is still a free resolution of the same
-    module."""
+    module.
+
+    The matrices are sparse: rows[k][r] maps the columns of row r of
+    d_{k+1} to its nonzero entries and cols[k][c] holds the rows of column c
+    with a nonzero entry.  Rows and columns keep their frame indices, and a
+    deleted one leaves the order of the others alone, so "first" is
+    "smallest index"."""
     ring = res.ring
     field = ring.field
-    mats = [[[col.components[row] for col in cols] for row in range(res.modules[k].rank)]
-            for k, cols in enumerate(res.diffs)]
-    twists = [list(m.twists) for m in res.modules]
-    for lvl, A in enumerate(mats):
-        p = 0
-        while p < len(A):
-            q = next((q for q, entry in enumerate(A[p])
-                      if not entry.is_zero() and entry.is_constant()), None)
-            if q is None:
-                p += 1
+    nlev = len(res.diffs)
+    rows = [[{} for _ in range(res.modules[k].rank)] for k in range(nlev)]
+    cols = [[set() for _ in range(len(res.diffs[k]))] for k in range(nlev)]
+    for k, diff in enumerate(res.diffs):
+        for c, col in enumerate(diff):
+            for r, entry in enumerate(col.components):
+                if not entry.is_zero():
+                    rows[k][r][c] = entry
+                    cols[k][c].add(r)
+    alive = [[True] * m.rank for m in res.modules]
+    for lvl in range(nlev):
+        R, C = rows[lvl], cols[lvl]
+        for p in range(len(R)):
+            if not alive[lvl][p]:
                 continue
+            units = [c for c, entry in R[p].items() if entry.is_constant()]
+            if not units:
+                continue
+            q = min(units)
             # Gaussian update on this differential, then delete row p and
             # column q; the neighbouring differentials only lose the
             # matching row/column
-            pivot_row = A.pop(p)
+            pivot_row = R[p]
             inv = field.inv(pivot_row[q].constant_value())
-            for l, factor in enumerate(pivot_row):
-                if l == q or factor.is_zero():
+            targets = [k for k in C[q] if k != p]
+            for l, factor in pivot_row.items():
+                if l == q:
                     continue
                 scale = factor * inv
-                for row in A:
-                    if not row[q].is_zero():
-                        row[l] = row[l] - row[q] * scale
-            for row in A:
-                del row[q]
-            del twists[lvl + 1][q]
-            del twists[lvl][p]
-            if lvl + 1 < len(mats):
-                del mats[lvl + 1][q]
+                for k in targets:
+                    row = R[k]
+                    entry = _minus_product(row.get(l), row[q], scale)
+                    if entry.is_zero():
+                        if l in row:
+                            del row[l]
+                            C[l].discard(k)
+                    else:
+                        row[l] = entry
+                        C[l].add(k)
+            for l in pivot_row:
+                C[l].discard(p)
+            for k in C[q]:
+                del R[k][q]
+            R[p] = {}
+            C[q] = set()
+            alive[lvl][p] = False
+            alive[lvl + 1][q] = False
+            if lvl + 1 < nlev:
+                for c in rows[lvl + 1][q]:
+                    cols[lvl + 1][c].discard(q)
+                rows[lvl + 1][q] = {}
             if lvl >= 1:
-                for row in mats[lvl - 1]:
-                    del row[p]
-    modules = [GradedFreeModule(ring, tuple(tw)) for tw in twists]
+                for r in cols[lvl - 1][p]:
+                    del rows[lvl - 1][r][p]
+                cols[lvl - 1][p] = set()
+    kept = [[i for i, a in enumerate(flags) if a] for flags in alive]
+    modules = [GradedFreeModule(ring, tuple(m.twists[i] for i in kept[k]))
+               for k, m in enumerate(res.modules)]
+    zero = ring.zero()
     diffs = []
-    for k, A in enumerate(mats):
-        target = modules[k]
-        ncols = len(twists[k + 1])
-        cols = []
-        for c in range(ncols):
-            cols.append(PolyVector(target, tuple(A[r][c] for r in range(len(A)))))
-        diffs.append(cols)
+    for k in range(nlev):
+        R = rows[k]
+        diffs.append([PolyVector(modules[k], tuple(R[r].get(c, zero) for r in kept[k]))
+                      for c in kept[k + 1]])
     # an exact minimal tail of rank-0 modules carries no information; the
     # zero module keeps a single rank-0 slot
     while len(modules) > 1 and modules[-1].rank == 0:
@@ -180,6 +225,22 @@ def _minimize_in_place(res):
             diffs.pop()
     res.modules = modules
     res.diffs = diffs
+
+
+def _minus_product(entry, a, b):
+    """entry - a * b for polynomials (entry None for zero), summed in one
+    pass and sorted once."""
+    ring = a.ring
+    field = ring.field
+    mul, sub, zero = field.mul, field.sub, field.zero
+    acc = dict(entry.terms) if entry is not None else {}
+    for m1, c1 in a.terms:
+        for m2, c2 in b.terms:
+            m = mon_mul(m1, m2)
+            acc[m] = sub(acc.get(m, zero), mul(c1, c2))
+    terms = [(m, c) for m, c in acc.items() if c != zero]
+    terms.sort(key=lambda mc: ring.canonical_key(mc[0]), reverse=True)
+    return Polynomial(ring, tuple(terms))
 
 
 class BettiTable:

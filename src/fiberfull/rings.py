@@ -81,11 +81,13 @@ class GradedRing:
         return sum(map(mul, self.weights, mon))
 
     def canonical_key(self, mon):
-        """Grevlex on the positive-degree part, parameter exponent last."""
+        """Grevlex on the positive-degree part, parameter exponent last, as
+        one flat tuple.  Every entry is linear in the exponents, so the key
+        of a product is the entrywise sum of the keys."""
         if self.has_parameter:
             r = len(self.weights)
-            return (self.degree(mon), tuple(map(neg, reversed(mon[:r]))), mon[r])
-        return (self.degree(mon), tuple(map(neg, reversed(mon))))
+            return (self.degree(mon), *map(neg, reversed(mon[:r])), mon[r])
+        return (self.degree(mon), *map(neg, reversed(mon)))
 
     def one_monomial(self):
         return (0,) * self.nvars
