@@ -37,11 +37,12 @@ def _ext_from_resolution(res, i):
     if i > res.length:
         return SubmodulePresentation(GradedFreeModule(ring, ()), [])
     Fi_dual = res.modules[i].dual()
-    if i < res.length:
-        next_cols = _dual_columns(res, i + 1)
-        kernel = module_kernel(next_cols, Fi_dual.twists, ambient=res.modules[i + 1].dual())
-    else:
-        kernel = [Fi_dual.basis_vector(j) for j in range(Fi_dual.rank)]
+    if i == res.length:
+        # the cokernel of the last transposed differential is presented by
+        # its image
+        return SubmodulePresentation(Fi_dual, _dual_columns(res, i) if i else [])
+    next_cols = _dual_columns(res, i + 1)
+    kernel = module_kernel(next_cols, Fi_dual.twists, ambient=res.modules[i + 1].dual())
     if not kernel:
         return SubmodulePresentation(GradedFreeModule(ring, ()), [])
     image = _dual_columns(res, i) if i >= 1 else []
@@ -115,32 +116,19 @@ def _tables_from_resolution(res, window, indices):
     the Hilbert function of the cokernel of the transposed d_j (Q_0 that of
     F_0^*), in every degree dim Ext^j = dim ker d_{j+1}^T - dim im d_j^T =
     Q_{j+1} + Q_j - dim F_{j+1}^*, and Ext^n = Q_n at the length n."""
-    ring = res.ring
-    r, delta = ring.num_positive, ring.delta
+    r, delta = res.ring.num_positive, res.ring.delta
     lo, hi = window
     inner = (-hi - delta, -lo - delta)
     n = res.length
-    cokernels = {}
-
-    def coker(j):
-        if j not in cokernels:
-            relations = _dual_columns(res, j) if j >= 1 else []
-            cokernels[j] = hilbert_function(
-                SubmodulePresentation(res.modules[j].dual(), relations), inner).dims
-        return cokernels[j]
-
+    coker = [hilbert_function(SubmodulePresentation(
+        res.modules[j].dual(), _dual_columns(res, j) if j else []), inner).dims
+        for j in range(n + 1)]
     out = []
     for i in indices:
         j = r - i
-        if j > n:
-            out.append(zero_table(window))
-            continue
-        if j == n:
-            dims = coker(n)
-        else:
-            free = hilbert_function(SubmodulePresentation(res.modules[j + 1].dual(), []),
-                                    inner).dims
-            q1, q0 = coker(j + 1), coker(j)
-            dims = {nu: q1[nu] + q0[nu] - free[nu] for nu in free}
-        out.append(HilbertTable(window, {nu: dims[-nu - delta] for nu in range(lo, hi + 1)}))
+        dims = coker[n] if j == n else {}
+        if j < n:
+            free = hilbert_function(SubmodulePresentation(res.modules[j + 1].dual(), []), inner)
+            dims = {nu: coker[j + 1][nu] + coker[j][nu] - d for nu, d in free.dims.items()}
+        out.append(HilbertTable(window, {nu: dims.get(-nu - delta, 0) for nu in range(lo, hi + 1)}))
     return out

@@ -85,25 +85,25 @@ def _c_monic(field, coeffs):
     return [field.mul(c, inv) for c in coeffs]
 
 
-def _c_mod(field, a, b):
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and _c_strip(field, a):
-        if not a:
-            break
-        shift = len(a) - 1 - db
-        factor = field.div(a[-1], lb)
+def _c_divmod(field, a, b):
+    """Quotient and remainder of a by a stripped nonzero b."""
+    a = _c_strip(field, list(a))
+    out = [field.zero] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        shift = len(a) - len(b)
+        factor = field.div(a[-1], b[-1])
+        out[shift] = factor
         for i, c in enumerate(b):
             a[i + shift] = field.sub(a[i + shift], field.mul(factor, c))
         a = _c_strip(field, a)
-    return a
+    return out, a
 
 
 def _c_gcd(field, a, b):
     a = _c_strip(field, list(a))
     b = _c_strip(field, list(b))
     while b:
-        a, b = b, _c_mod(field, a, b)
+        a, b = b, _c_divmod(field, a, b)[1]
     return _c_monic(field, a)
 
 
@@ -117,21 +117,6 @@ def _c_mul(field, a, b):
     return out
 
 
-def _c_divexact(field, a, b):
-    """a / b for exact division."""
-    a = _c_strip(field, list(a))
-    b = _c_strip(field, list(b))
-    out = [field.zero] * (len(a) - len(b) + 1)
-    while a and len(a) >= len(b):
-        shift = len(a) - len(b)
-        factor = field.div(a[-1], b[-1])
-        out[shift] = factor
-        for i, c in enumerate(b):
-            a[i + shift] = field.sub(a[i + shift], field.mul(factor, c))
-        a = _c_strip(field, a)
-    return out
-
-
 def parameter_lcm(f, g):
     """Monic lcm of two polynomials in the parameter."""
     ring = f.ring
@@ -142,7 +127,7 @@ def parameter_lcm(f, g):
         raise InvalidArgumentError("lcm with zero")
     d = _c_gcd(field, a, b)
     prod = _c_mul(field, a, b)
-    return parameter_polynomial(ring, _c_monic(field, _c_divexact(field, prod, d)))
+    return parameter_polynomial(ring, _c_monic(field, _c_divmod(field, prod, d)[0]))
 
 
 def parameter_monic(f):
@@ -215,7 +200,7 @@ def parameter_torsion(pres):
     h = _leading_parameter_content(G)
     if h.is_constant():
         return TorsionCertificate(None, (), one)
-    sat = saturate(SubmodulePresentation(pres.ambient, G.elements), h)
+    sat = saturate(pres, h)
     torsion = []
     for v in sat.generators:
         nf = G.normal_form(v)

@@ -16,7 +16,7 @@ group finds the same first divisor as a scan of the whole basis.
 """
 
 import heapq
-from operator import add
+from operator import add, mul
 
 from .errors import InvalidArgumentError, OrderMismatchError, WeightVectorMismatchError
 from .modules import GradedFreeModule, PolyVector, SubmodulePresentation
@@ -143,8 +143,9 @@ def _tv_normal_form(tv, index, morder, field, quotients=None, skip=None):
             pos += 1
             continue
         q = mon_div(m, bm)
-        scaled = _tv_mul_term(b.tv, q, field.neg(coeff), morder, field)
-        work = _tv_add(work[pos:], scaled, field)
+        # b is monic, so its multiple cancels the term at pos exactly
+        scaled = _tv_mul_term(b.tv[1:], q, field.neg(coeff), morder, field)
+        work = _tv_add(work[pos + 1:], scaled, field)
         pos = 0
         if quotients is not None:
             quotients.setdefault(idx, []).append((q, coeff))
@@ -433,10 +434,6 @@ def module_kernel(vectors, source_twists, ambient=None):
     return out
 
 
-def _vector_degree_or_zero(v):
-    return 0 if v.is_zero() else v.degree()
-
-
 def colon(pres, h):
     """(U : h) = all v in the ambient with h*v in U."""
     if h.is_zero():
@@ -450,7 +447,7 @@ def colon(pres, h):
         twists.append(amb.twists[j] + hdeg)
     for g in pres.generators:
         vectors.append(g)
-        twists.append(_vector_degree_or_zero(g))
+        twists.append(0 if g.is_zero() else g.degree())
     syz = module_kernel(vectors, twists, ambient=amb)
     gens = []
     for s in syz:
@@ -469,12 +466,13 @@ def saturate(pres, h):
     if h.is_constant():
         G = buchberger(pres)
         return SubmodulePresentation(pres.ambient, G.elements)
+    # the first colon takes the given generators, often far fewer than the
+    # reduced basis; colon returns a reduced basis, so the comparison holds
     current = SubmodulePresentation(pres.ambient, buchberger(pres).elements)
-    while True:
-        nxt = colon(current, h)
-        if nxt.generators == current.generators:
-            return current
-        current = nxt
+    nxt = colon(pres, h)
+    while nxt.generators != current.generators:
+        current, nxt = nxt, colon(nxt, h)
+    return current
 
 
 def contract_to_parameter(pres):
@@ -528,11 +526,12 @@ def weight_vector_for(source, order=None):
     if ring.has_parameter:
         raise InvalidArgumentError("weight vectors are computed over parameter-free rings")
     r = ring.num_positive
+    # omega must weigh each lead - other exponent difference at least 1
     constraints = []
     for v, (lead_mon, _) in zip(G.elements, G.leads):
         for mon, _ in v.components[0].terms:
             if mon != lead_mon:
-                constraints.append((lead_mon, mon))
+                constraints.append(mon_div(lead_mon, mon)[:r])
     if not constraints:
         return (1,) * r
 
@@ -547,14 +546,7 @@ def weight_vector_for(source, order=None):
     total = 0
     while total <= 10000:
         for omega in compositions(total, r):
-            ok = True
-            for lead, other in constraints:
-                lw = sum(o * e for o, e in zip(omega, lead))
-                ow = sum(o * e for o, e in zip(omega, other))
-                if lw < ow + 1:
-                    ok = False
-                    break
-            if ok:
+            if all(sum(map(mul, omega, d)) >= 1 for d in constraints):
                 return omega
         total += 1
     raise InvalidArgumentError("no weight vector found below total weight 10000")

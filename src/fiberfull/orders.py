@@ -160,42 +160,21 @@ class TOPOrder(ModuleOrder):
 
 class SchreyerOrder(ModuleOrder):
     """Order induced by the leading terms of a marked basis living in a
-    parent module: compare images of leading terms, then position.
+    parent module: compare images of leading terms, then position.  The
+    key is the parent key of the image with -comp appended."""
 
-    The key is kept flat over a tower of such orders.  Following the leads
-    down to the first order that is not a Schreyer order (the base) sends
-    (m, c) to (m * image[c], base_comp[c]), and the nested comparison is the
-    base key of that term, then the components met on the way up, lowest
-    level first, each with the lower index winning.  ``rank[c]`` numbers
-    those component paths in that order and is the last entry of the key."""
-
-    __slots__ = ("parent", "leads", "base", "image", "base_comp", "rank", "_paths")
+    __slots__ = ("parent", "leads")
 
     def __init__(self, parent, leads):
         self.parent = parent
         self.leads = tuple(leads)
-        if isinstance(parent, SchreyerOrder):
-            self.base = parent.base
-            self.image = tuple(mon_mul(pm, parent.image[pc]) for pm, pc in self.leads)
-            self.base_comp = tuple(parent.base_comp[pc] for _, pc in self.leads)
-            self._paths = tuple(parent._paths[pc] + (-c,) for c, (_, pc) in enumerate(self.leads))
-        else:
-            self.base = parent
-            self.image = tuple(pm for pm, _ in self.leads)
-            self.base_comp = tuple(pc for _, pc in self.leads)
-            self._paths = tuple((-c,) for c in range(len(self.leads)))
-        order = sorted(range(len(self.leads)), key=self._paths.__getitem__)
-        rank = [0] * len(order)
-        for position, c in enumerate(order):
-            rank[c] = position
-        self.rank = tuple(rank)
 
     def key(self, mon, comp):
-        return (*self.base.key(mon_mul(mon, self.image[comp]), self.base_comp[comp]),
-                self.rank[comp])
+        pm, pc = self.leads[comp]
+        return (*self.parent.key(mon_mul(mon, pm), pc), -comp)
 
     def shift(self, mon):
-        return (*self.base.shift(mon), 0)
+        return (*self.parent.shift(mon), 0)
 
 
 class BlockTOPOrder(ModuleOrder):

@@ -146,77 +146,52 @@ def _minimize_in_place(res):
     sweep has passed; the result is still a free resolution of the same
     module.
 
-    The matrices are sparse: rows[k][r] maps the columns of row r of
-    d_{k+1} to its nonzero entries and cols[k][c] holds the rows of column c
-    with a nonzero entry.  Rows and columns keep their frame indices, and a
-    deleted one leaves the order of the others alone, so "first" is
-    "smallest index"."""
+    Row r of d_{k+1} is kept as a map from columns to its nonzero entries.
+    Rows and columns keep their frame indices and a deleted one leaves the
+    order of the others alone, so the first column is the smallest index."""
     ring = res.ring
     field = ring.field
-    nlev = len(res.diffs)
-    rows = [[{} for _ in range(res.modules[k].rank)] for k in range(nlev)]
-    cols = [[set() for _ in range(len(res.diffs[k]))] for k in range(nlev)]
+    rows = [[{} for _ in range(res.modules[k].rank)] for k in range(len(res.diffs))]
     for k, diff in enumerate(res.diffs):
         for c, col in enumerate(diff):
             for r, entry in enumerate(col.components):
                 if not entry.is_zero():
                     rows[k][r][c] = entry
-                    cols[k][c].add(r)
     alive = [[True] * m.rank for m in res.modules]
-    for lvl in range(nlev):
-        R, C = rows[lvl], cols[lvl]
-        for p in range(len(R)):
-            if not alive[lvl][p]:
+    for lvl, A in enumerate(rows):
+        for p, pivot_row in enumerate(A):
+            q = min((c for c, entry in pivot_row.items() if entry.is_constant()), default=None)
+            if q is None:
                 continue
-            units = [c for c, entry in R[p].items() if entry.is_constant()]
-            if not units:
-                continue
-            q = min(units)
             # Gaussian update on this differential, then delete row p and
             # column q; the neighbouring differentials only lose the
             # matching row/column
-            pivot_row = R[p]
-            inv = field.inv(pivot_row[q].constant_value())
-            targets = [k for k in C[q] if k != p]
-            for l, factor in pivot_row.items():
-                if l == q:
+            inv = field.inv(pivot_row.pop(q).constant_value())
+            scales = [(l, factor * inv) for l, factor in pivot_row.items()]
+            A[p] = {}
+            for row in A:
+                a = row.pop(q, None)
+                if a is None:
                     continue
-                scale = factor * inv
-                for k in targets:
-                    row = R[k]
-                    entry = _minus_product(row.get(l), row[q], scale)
+                for l, scale in scales:
+                    entry = _minus_product(row.get(l), a, scale)
                     if entry.is_zero():
-                        if l in row:
-                            del row[l]
-                            C[l].discard(k)
+                        row.pop(l, None)
                     else:
                         row[l] = entry
-                        C[l].add(k)
-            for l in pivot_row:
-                C[l].discard(p)
-            for k in C[q]:
-                del R[k][q]
-            R[p] = {}
-            C[q] = set()
-            alive[lvl][p] = False
-            alive[lvl + 1][q] = False
-            if lvl + 1 < nlev:
-                for c in rows[lvl + 1][q]:
-                    cols[lvl + 1][c].discard(q)
+            alive[lvl][p] = alive[lvl + 1][q] = False
+            if lvl + 1 < len(rows):
                 rows[lvl + 1][q] = {}
             if lvl >= 1:
-                for r in cols[lvl - 1][p]:
-                    del rows[lvl - 1][r][p]
-                cols[lvl - 1][p] = set()
+                for row in rows[lvl - 1]:
+                    row.pop(p, None)
     kept = [[i for i, a in enumerate(flags) if a] for flags in alive]
     modules = [GradedFreeModule(ring, tuple(m.twists[i] for i in kept[k]))
                for k, m in enumerate(res.modules)]
     zero = ring.zero()
-    diffs = []
-    for k in range(nlev):
-        R = rows[k]
-        diffs.append([PolyVector(modules[k], tuple(R[r].get(c, zero) for r in kept[k]))
-                      for c in kept[k + 1]])
+    diffs = [[PolyVector(modules[k], tuple(A[r].get(c, zero) for r in kept[k]))
+              for c in kept[k + 1]]
+             for k, A in enumerate(rows)]
     # an exact minimal tail of rank-0 modules carries no information; the
     # zero module keeps a single rank-0 slot
     while len(modules) > 1 and modules[-1].rank == 0:

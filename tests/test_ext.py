@@ -185,3 +185,27 @@ def test_tables_from_minimal_resolution_match_the_schreyer_frame():
             inner = hilbert_function(ext, (-hi - delta, -lo - delta)).dims
             reference.append({nu: inner[-nu - delta] for nu in range(lo, hi + 1)})
         assert [t.dims for t in local_cohomology_tables(pres, window)] == reference
+
+
+def test_top_ext_is_presented_by_the_last_image():
+    # Ext^n at the length n is the cokernel of the last transposed
+    # differential; its relations span the same submodule as the syzygy
+    # heads of (basis | image), the route that the lower indices take
+    from fiberfull import GradedFreeModule, PolyVector, buchberger, module_kernel
+    from fiberfull.ext import _dual_columns
+    from fixtures import parameter_families
+
+    cases = [twisted_cubic(), ideal_from_strings(ring2(), ("x^2", "x*y", "y^2"))]
+    for pres in cases + list(parameter_families().values()):
+        res = free_resolution(pres)
+        n = res.length
+        ext = _ext_from_resolution(res, n)
+        dual = res.modules[n].dual()
+        basis = [dual.basis_vector(j) for j in range(dual.rank)]
+        image = _dual_columns(res, n)
+        twists = list(dual.twists) + [0 if v.is_zero() else v.degree() for v in image]
+        heads = [PolyVector(dual, s.components[:dual.rank])
+                 for s in module_kernel(basis + image, twists, ambient=dual)]
+        reference = SubmodulePresentation(GradedFreeModule(pres.ring, dual.twists), heads)
+        assert ext.ambient == reference.ambient
+        assert buchberger(ext).elements == buchberger(reference).elements

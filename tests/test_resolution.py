@@ -233,3 +233,32 @@ def test_inhomogeneous_generator_rejected():
     P = SubmodulePresentation.ideal(R, [R.parse("x^2 - y")])
     with pytest.raises(InvalidArgumentError):
         free_resolution(P)
+
+
+def test_specialized_family_resolution_resolves_both_ends():
+    # the Groebner family is flat over k[t], so its resolution specialized
+    # at t = 1 and t = 0 resolves the ideal and its initial ideal: the same
+    # Betti tables and local cohomology tables as resolving them directly
+    from fiberfull import (homogenize_omega, initial_module, local_cohomology_tables,
+                           weight_vector_for)
+    from fiberfull.ext import _tables_from_resolution
+    from fiberfull.resolution import specialize_resolution
+
+    window = (-8, 3)
+    for field in (QQ, GF(32003)):
+        for pres in macaulay_suite(field)[19:]:
+            for order in (TermOrder.grevlex(), TermOrder.lex()):
+                G = buchberger(pres, order)
+                init = initial_module(G)
+                res = free_resolution(homogenize_omega(G, weight_vector_for(G)))
+                r = pres.ring.num_positive
+                for c, end in ((1, pres), (0, init)):
+                    spec = specialize_resolution(res, c)
+                    assert spec.minimal and spec.check_complex()
+                    assert spec.ring == end.ring
+                    for k in range(1, spec.length + 1):
+                        for nu in range(5):
+                            assert resolution_exact_in_degree(spec, k, nu)
+                    assert betti_table(spec) == betti_table(free_resolution(end))
+                    tables = _tables_from_resolution(spec, window, range(r + 1))
+                    assert tables == local_cohomology_tables(end, window)
