@@ -463,9 +463,6 @@ def saturate(pres, h):
     """(U : h^inf), by iterating the colon until it stabilizes."""
     if h.is_zero():
         raise InvalidArgumentError("saturation by the zero polynomial")
-    if h.is_constant():
-        G = buchberger(pres)
-        return SubmodulePresentation(pres.ambient, G.elements)
     # the first colon takes the given generators, often far fewer than the
     # reduced basis; colon returns a reduced basis, so the comparison holds
     current = SubmodulePresentation(pres.ambient, buchberger(pres).elements)
@@ -531,7 +528,7 @@ def weight_vector_for(source, order=None):
     for v, (lead_mon, _) in zip(G.elements, G.leads):
         for mon, _ in v.components[0].terms:
             if mon != lead_mon:
-                constraints.append(mon_div(lead_mon, mon)[:r])
+                constraints.append(mon_div(lead_mon, mon))
     if not constraints:
         return (1,) * r
 

@@ -324,3 +324,24 @@ def test_verify_degeneration_rejects_bad_input():
     inhom = SubmodulePresentation.ideal(R, [R.parse("x^2 - y")])
     with pytest.raises(InvalidArgumentError):
         verify_degeneration(inhom, TermOrder.lex(), (-4, 2))
+
+
+def test_verify_degeneration_refuses_a_family_with_torsion(monkeypatch):
+    # the ends are read off the family's resolution only because a Groebner
+    # family is flat; a module certificate showing torsion must stop that
+    import dataclasses
+
+    import fiberfull.fiberfull
+    from fiberfull import TheoremViolationError
+
+    real = fiberfull.fiberfull._fiber_full_report
+
+    def with_torsion(pres, res, at):
+        report = real(pres, res, at)
+        t = pres.ring.parameter()
+        cert = fiberfull.fiberfull.TorsionCertificate(None, (pres.generators[0],), t)
+        return dataclasses.replace(report, module_certificate=cert)
+
+    monkeypatch.setattr(fiberfull.fiberfull, "_fiber_full_report", with_torsion)
+    with pytest.raises(TheoremViolationError):
+        verify_degeneration(twisted_cubic(), TermOrder.grevlex(), (-6, 2))
