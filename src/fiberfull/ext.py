@@ -29,44 +29,36 @@ def _dual_columns(res, k):
 
 def _ext_from_resolution(res, i):
     """Presentation of the i-th right-derived Hom(-, ring) from a free
-    resolution: kernel of the next transposed differential modulo the image
-    of the previous one, as a quotient presentation."""
+    resolution: the kernel of the next transposed differential modulo the
+    image of the previous one.  Its generators K are the ambient basis; its
+    relations, the reduced basis of the kernel of that basis onto
+    F_i^*/<image>, come from one ``module_kernel`` call modulo the image."""
     ring = res.ring
     if i < 0:
         raise IndexError("negative cohomological index")
     if i > res.length:
         return SubmodulePresentation(GradedFreeModule(ring, ()), [])
     Fi_dual = res.modules[i].dual()
+    image = _dual_columns(res, i) if i else []
     if i == res.length:
         # the cokernel of the last transposed differential is presented by
         # its image
-        return SubmodulePresentation(Fi_dual, _dual_columns(res, i) if i else [])
-    next_cols = _dual_columns(res, i + 1)
-    kernel = module_kernel(next_cols, Fi_dual.twists, ambient=res.modules[i + 1].dual())
+        return SubmodulePresentation(Fi_dual, image)
+    kernel = module_kernel(_dual_columns(res, i + 1), Fi_dual.twists,
+                           ambient=res.modules[i + 1].dual())
     if not kernel:
         return SubmodulePresentation(GradedFreeModule(ring, ()), [])
-    image = _dual_columns(res, i) if i >= 1 else []
     kernel_twists = tuple(v.degree() for v in kernel)
-    stacked = list(kernel) + list(image)
-    stacked_twists = list(kernel_twists) + [0 if v.is_zero() else v.degree() for v in image]
-    syz = module_kernel(stacked, stacked_twists, ambient=Fi_dual)
-    ambient = GradedFreeModule(ring, kernel_twists)
-    relations = []
-    for s in syz:
-        head = PolyVector(ambient, s.components[: len(kernel)])
-        if not head.is_zero():
-            relations.append(head)
-    return SubmodulePresentation(ambient, relations)
+    relations = module_kernel(kernel, kernel_twists, ambient=Fi_dual, modulo=image)
+    return SubmodulePresentation(GradedFreeModule(ring, kernel_twists), relations)
 
 
-def ext_modules(pres, top_index=None):
-    """Presentations of Ext^i(ambient/<gens>, ring) for i = 0..top_index
-    (default: the number of positive-degree variables).  Indices beyond the
-    resolution length give zero modules."""
-    if top_index is None:
-        top_index = pres.ring.num_positive
+def ext_modules(pres):
+    """Presentations of Ext^i(ambient/<gens>, ring) for i = 0..r, r the
+    number of positive-degree variables.  Indices beyond the resolution
+    length give zero modules."""
     res = free_resolution(pres)
-    return [_ext_from_resolution(res, i) for i in range(top_index + 1)]
+    return [_ext_from_resolution(res, i) for i in range(pres.ring.num_positive + 1)]
 
 
 def hilbert_function(pres, window):

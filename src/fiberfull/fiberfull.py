@@ -214,28 +214,24 @@ def parameter_torsion(pres):
 
 def _torsion_annihilator(G, torsion):
     """Monic generator of {p in k[t] : p * w in <relations> for all torsion
-    generators w}, via one stacked colon and a contraction."""
+    generators w}: the kernel of p -> p * (w_1, ..., w_m) modulo m slotted
+    copies of the relations, contracted to k[t]."""
     ring = G.ring
     amb = G.module
     m = len(torsion)
     f = amb.rank
-    stacked_module = GradedFreeModule(ring, tuple(t for w in torsion for t in amb.twists))
-    comps = []
-    for w in torsion:
-        comps.extend(w.components)
-    stacked = PolyVector(stacked_module, tuple(comps))
-    vectors = [stacked]
-    twists = [0]
+    stacked_module = GradedFreeModule(ring, amb.twists * m)
+    stacked = PolyVector(stacked_module, tuple(c for w in torsion for c in w.components))
+    zero = ring.zero()
+    slotted = []
     for j in range(m):
         for u in G.elements:
-            slot = [ring.zero()] * (f * m)
-            for i, c in enumerate(u.components):
-                slot[j * f + i] = c
-            vectors.append(PolyVector(stacked_module, tuple(slot)))
-            twists.append(u.degree())
-    syz = module_kernel(vectors, twists, ambient=stacked_module)
-    ann_gens = [s.components[0] for s in syz if not s.components[0].is_zero()]
-    contracted = contract_to_parameter(SubmodulePresentation.ideal(ring, ann_gens))
+            slot = [zero] * (f * m)
+            slot[j * f:(j + 1) * f] = u.components
+            slotted.append(PolyVector(stacked_module, tuple(slot)))
+    ann = module_kernel([stacked], (0,), ambient=stacked_module, modulo=slotted)
+    contracted = contract_to_parameter(
+        SubmodulePresentation.ideal(ring, [v.components[0] for v in ann]))
     if not contracted:
         raise InvalidArgumentError("torsion annihilator does not meet the parameter ring")
     return parameter_monic(contracted[0])
@@ -327,10 +323,9 @@ def fiber_full_locus(pres):
     return g
 
 
-def specialize_presentation(pres, c, target_ring=None):
+def specialize_presentation(pres, c):
     """Substitute the parameter by a field element in every generator."""
-    ring = pres.ring
-    target = target_ring if target_ring is not None else ring.without_parameter()
+    target = pres.ring.without_parameter()
     amb = GradedFreeModule(target, pres.ambient.twists)
     gens = []
     for g in pres.generators:

@@ -401,62 +401,50 @@ def syzygies(G):
 # kernels, colon, saturation, elimination
 
 
-def module_kernel(vectors, source_twists, ambient=None):
-    """Kernel of the map sending the i-th basis vector of a free module with
-    the given twists to ``vectors[i]``.
+def module_kernel(vectors, source_twists, ambient=None, modulo=()):
+    """Kernel of the map from a free module with the given twists to
+    ambient/<modulo> sending the i-th basis vector to ``vectors[i]``.
 
-    Computed by a Groebner basis of the graph generators (v_i, e_i) under a
-    component-block elimination order; graph elements with zero image part
-    project onto kernel generators."""
+    Computed by a Groebner basis of the graph generators (v_i, e_i) and
+    (u, 0) for u in ``modulo`` under a component-block elimination order:
+    the elements with zero ambient part span the kernel and, the order
+    restricted to the source being term over position, are its reduced
+    basis."""
     if ambient is None:
         if not vectors:
             raise InvalidArgumentError("need an ambient module for an empty map")
         ambient = vectors[0].module
     ring = ambient.ring
-    field = ring.field
     f = ambient.rank
     n = len(vectors)
     combined = GradedFreeModule(ring, ambient.twists + tuple(source_twists))
     morder = BlockTOPOrder(ring, TermOrder.grevlex(), f)
+    zeros = (ring.zero(),) * n
     tvs = []
     for i, v in enumerate(vectors):
-        comps = list(v.components) + [ring.zero()] * n
+        comps = list(v.components) + list(zeros)
         comps[f + i] = ring.one()
         tvs.append(_tv_from_vector(PolyVector(combined, tuple(comps)), morder))
-    marked = gb_engine(tvs, morder, field, ring, combined.twists, combined.rank)
+    for u in modulo:
+        tvs.append(_tv_from_vector(PolyVector(combined, u.components + zeros), morder))
+    marked = gb_engine(tvs, morder, ring.field, ring, combined.twists, combined.rank)
     source = GradedFreeModule(ring, tuple(source_twists))
-    out = []
-    for b in marked:
-        if any(comp < f for _, (_, comp), _ in b.tv):
-            continue
-        vec = _tv_to_vector([(k, (m, c - f), cf) for k, (m, c), cf in b.tv], source)
-        out.append(vec)
-    return out
+    return [_tv_to_vector([(k, (m, c - f), cf) for k, (m, c), cf in b.tv], source)
+            for b in marked if b.lead_mm[1] >= f]
 
 
 def colon(pres, h):
-    """(U : h) = all v in the ambient with h*v in U."""
+    """(U : h) = all v in the ambient with h*v in U: the kernel of the map
+    e_j -> h*e_j into ambient/U, as a reduced basis."""
     if h.is_zero():
         raise InvalidArgumentError("colon by the zero polynomial")
     amb = pres.ambient
     hdeg = h.degree() if h.is_homogeneous() else 0
-    vectors = []
-    twists = []
-    for j in range(amb.rank):
-        vectors.append(amb.basis_vector(j).mul_poly(h))
-        twists.append(amb.twists[j] + hdeg)
-    for g in pres.generators:
-        vectors.append(g)
-        twists.append(0 if g.is_zero() else g.degree())
-    syz = module_kernel(vectors, twists, ambient=amb)
-    gens = []
-    for s in syz:
-        head = PolyVector(amb, s.components[: amb.rank])
-        if not head.is_zero():
-            gens.append(head)
-    result = SubmodulePresentation(amb, gens)
-    G = buchberger(result)
-    return SubmodulePresentation(amb, G.elements)
+    vectors = [amb.basis_vector(j).mul_poly(h) for j in range(amb.rank)]
+    twists = [d + hdeg for d in amb.twists]
+    kernel = module_kernel(vectors, twists, ambient=amb, modulo=pres.generators)
+    # the source twists are shifted by deg h; the same vectors in the ambient
+    return SubmodulePresentation(amb, [PolyVector(amb, v.components) for v in kernel])
 
 
 def saturate(pres, h):

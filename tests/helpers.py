@@ -2,16 +2,19 @@
 (brute-force standard-monomial counting, Krull dimension by a subset scan,
 S-pair closure, degreewise exactness by exact linear algebra, division by a
 linear scan of the basis, minimization that restarts its scan after every
-pivot)."""
+pivot, colon and Ext relations as the heads of a syzygy graph)."""
 
 from fiberfull import (
     GradedFreeModule,
     PolyVector,
     SubmodulePresentation,
+    buchberger,
     make_ring,
+    module_kernel,
     monomials_of_degree,
     normal_form,
 )
+from fiberfull.ext import _dual_columns
 from fiberfull.groebner import _tv_add, _tv_mul_term
 from fiberfull.linalg import matrix_rank
 from fiberfull.rings import mon_div, mon_divides, mon_lcm
@@ -40,8 +43,6 @@ def rand_homogeneous(rng, ring, degree, tries=50):
 def brute_hilbert_counts(pres, window):
     """Standard-monomial count per degree by direct enumeration; independent
     of the series-based production implementation.  Parameter-free rings."""
-    from fiberfull import buchberger
-
     ring = pres.ring
     amb = pres.ambient
     gens = pres.generators
@@ -229,3 +230,43 @@ def restart_minimize(res):
             diffs.pop()
     res.modules = modules
     res.diffs = diffs
+
+
+def _syzygy_heads(vectors, twists, ambient, head_module, rank):
+    """First ``rank`` components of the syzygies of ``vectors``, as vectors
+    of ``head_module``; the zero heads (syzygies among the rest) dropped."""
+    heads = []
+    for s in module_kernel(vectors, twists, ambient=ambient):
+        head = PolyVector(head_module, s.components[:rank])
+        if not head.is_zero():
+            heads.append(head)
+    return heads
+
+
+def graph_colon(pres, h):
+    """(U : h) as a reduced basis: the heads of the syzygies of
+    (h*e_1, ..., h*e_f, generators of U), then Buchberger."""
+    amb = pres.ambient
+    hdeg = h.degree() if h.is_homogeneous() else 0
+    vectors = [amb.basis_vector(j).mul_poly(h) for j in range(amb.rank)] + list(pres.generators)
+    twists = [d + hdeg for d in amb.twists] + [g.degree() for g in pres.generators]
+    heads = _syzygy_heads(vectors, twists, amb, amb, amb.rank)
+    return SubmodulePresentation(amb, buchberger(SubmodulePresentation(amb, heads)).elements)
+
+
+def graph_ext(res, i):
+    """Ext^i for 0 <= i <= the length of ``res``, presented by the heads of
+    the syzygies of (kernel generators | image of the previous transposed
+    differential) in the dual of F_i."""
+    dual = res.modules[i].dual()
+    if i < res.length:
+        kernel = module_kernel(_dual_columns(res, i + 1), dual.twists,
+                               ambient=res.modules[i + 1].dual())
+    else:
+        kernel = [dual.basis_vector(j) for j in range(dual.rank)]
+    image = _dual_columns(res, i) if i else []
+    kernel_twists = tuple(v.degree() for v in kernel)
+    twists = kernel_twists + tuple(0 if v.is_zero() else v.degree() for v in image)
+    ambient = GradedFreeModule(res.ring, kernel_twists)
+    heads = _syzygy_heads(list(kernel) + image, twists, dual, ambient, len(kernel))
+    return SubmodulePresentation(ambient, heads)

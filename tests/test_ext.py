@@ -190,7 +190,7 @@ def test_tables_from_minimal_resolution_match_the_schreyer_frame():
 def test_top_ext_is_presented_by_the_last_image():
     # Ext^n at the length n is the cokernel of the last transposed
     # differential; its relations span the same submodule as the syzygy
-    # heads of (basis | image), the route that the lower indices take
+    # heads of (basis | image), the head route for Ext relations
     from fiberfull import GradedFreeModule, PolyVector, buchberger, module_kernel
     from fiberfull.ext import _dual_columns
     from fixtures import parameter_families
@@ -209,3 +209,26 @@ def test_top_ext_is_presented_by_the_last_image():
         reference = SubmodulePresentation(GradedFreeModule(pres.ring, dual.twists), heads)
         assert ext.ambient == reference.ambient
         assert buchberger(ext).elements == buchberger(reference).elements
+
+
+def test_ext_relations_equal_the_head_route():
+    # the relations are the kernel of the kernel generators modulo the image,
+    # taken in one module_kernel call; the reference projects the syzygies
+    # of (kernel | image) onto the kernel block.  Below the length the
+    # relations are already a reduced basis
+    from fiberfull import buchberger
+    from fixtures import macaulay_suite, parameter_families
+    from helpers import graph_ext
+
+    quartic = ideal_from_strings(
+        ring4(), ("y*z - x*w", "z^3 - y*w^2", "x*z^2 - y^2*w", "y^3 - x^2*z"))
+    cases = macaulay_suite() + [quartic] + list(parameter_families().values())
+    for pres in cases:
+        res = free_resolution(pres)
+        for i in range(res.length + 1):
+            ext = _ext_from_resolution(res, i)
+            reference = graph_ext(res, i)
+            assert ext.ambient == reference.ambient
+            assert buchberger(ext).elements == buchberger(reference).elements
+            if i < res.length:
+                assert ext.generators == buchberger(ext).elements

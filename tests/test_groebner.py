@@ -338,6 +338,64 @@ def test_colon_example():
         assert vector_in_submodule(v.mul_poly(x), GU)
 
 
+def _colon_cases():
+    """(U, h) pairs: U from the Macaulay suite over QQ and GF(32003), which
+    includes the square-free ideals, with h the first and the last variable;
+    U a k[t][x] family or one of its Ext modules, with h the first variable,
+    t and the leading-content polynomial of U."""
+    from fiberfull.ext import _ext_from_resolution
+    from fiberfull.fiberfull import _leading_parameter_content
+    from fiberfull import free_resolution
+    from fixtures import parameter_families
+
+    for field in (None, GF(32003)):
+        for pres in macaulay_suite(field):
+            R = pres.ring
+            yield pres, R.variable(0)
+            yield pres, R.variable(R.nvars - 1)
+    for pres in parameter_families().values():
+        res = free_resolution(pres)
+        R = pres.ring
+        modules = [pres] + [_ext_from_resolution(res, i) for i in range(R.num_positive + 1)]
+        for U in modules:
+            if not U.generators:
+                continue
+            yield U, R.variable(0)
+            yield U, R.variable(R.parameter_index())
+            h = _leading_parameter_content(buchberger(U, TermOrder.block_x_over_t()))
+            if not h.is_constant():
+                yield U, h
+
+
+def test_colon_equals_the_syzygy_graph_route():
+    # colon takes the kernel of e_j -> h*e_j into ambient/U; the reference
+    # takes the heads of the syzygies of (h*e_j, generators of U) and runs
+    # Buchberger on them; both are the reduced basis of (U : h)
+    from fiberfull import colon
+    from helpers import graph_colon
+
+    count = 0
+    for U, h in _colon_cases():
+        assert colon(U, h) == graph_colon(U, h)
+        count += 1
+    assert count > 100
+
+
+def test_module_kernel_modulo_is_already_reduced():
+    # the elements with zero ambient part of the elimination basis are the
+    # reduced basis of the kernel, which is why colon needs no second pass
+    from fiberfull import GradedFreeModule, module_kernel
+
+    for U, h in _colon_cases():
+        amb = U.ambient
+        hdeg = h.degree() if h.is_homogeneous() else 0
+        twists = [d + hdeg for d in amb.twists]
+        vectors = [amb.basis_vector(j).mul_poly(h) for j in range(amb.rank)]
+        kernel = module_kernel(vectors, twists, ambient=amb, modulo=U.generators)
+        source = GradedFreeModule(U.ring, twists)
+        assert tuple(kernel) == buchberger(SubmodulePresentation(source, kernel)).elements
+
+
 def test_degenerate_inputs_are_legal():
     R = ring2()
     empty = buchberger(SubmodulePresentation.ideal(R, []))
