@@ -9,10 +9,11 @@ the torsion submodule and a monic annihilator in k[t]:
 
   * the torsion of ambient/<relations> is the saturation of the relations at
     a single polynomial h(t), the least common multiple of the parameter
-    coefficients of the leading positive-degree terms of a block-order basis
-    (positive-degree variables above t);
+    coefficients of the leading positive-degree terms of the reduced basis;
   * the certificate polynomial generates the contraction to k[t] of the
-    annihilator of the torsion generators.
+    annihilator of the torsion generators.  t has degree 0, so grevlex
+    ranks every monomial containing an x above every power of t: a reduced
+    basis eliminates x, and one basis per module serves every step.
 
 A module is fiber-full at (t - c) when neither the module itself nor any of
 Ext^0..Ext^r against the ambient polynomial ring has torsion there.  The
@@ -26,7 +27,6 @@ from .errors import InvalidArgumentError, TheoremViolationError
 from .ext import _ext_from_resolution, _tables_from_resolution, local_cohomology_hilbert
 from .groebner import (
     buchberger,
-    contract_to_parameter,
     homogenize_omega,
     initial_module,
     is_squarefree,
@@ -36,7 +36,6 @@ from .groebner import (
 )
 from .hilbert import zero_table
 from .modules import GradedFreeModule, PolyVector, SubmodulePresentation
-from .orders import TermOrder
 from .resolution import betti_table, depth_and_regularity, free_resolution, specialize_resolution
 
 
@@ -46,18 +45,12 @@ from .resolution import betti_table, depth_and_regularity, free_resolution, spec
 
 def parameter_coefficients(poly):
     """Coefficient list (ascending) of a polynomial in the parameter alone."""
-    ring = poly.ring
-    ti = ring.parameter_index()
-    coeffs = {}
+    ti = poly.ring.parameter_index()
+    if not poly.is_parameter_only():
+        raise InvalidArgumentError("%s is not a polynomial in the parameter" % poly)
+    out = [poly.ring.field.zero] * (poly.terms[0][0][ti] + 1 if poly.terms else 0)
     for mon, c in poly.terms:
-        if any(e != 0 for i, e in enumerate(mon) if i != ti):
-            raise InvalidArgumentError("%s is not a polynomial in the parameter" % poly)
-        coeffs[mon[ti]] = c
-    if not coeffs:
-        return []
-    out = [ring.field.zero] * (max(coeffs) + 1)
-    for k, c in coeffs.items():
-        out[k] = c
+        out[mon[ti]] = c
     return out
 
 
@@ -117,17 +110,18 @@ def _c_mul(field, a, b):
     return out
 
 
+def _c_lcm(field, a, b):
+    """Monic lcm of two nonzero coefficient lists."""
+    return _c_monic(field, _c_divmod(field, _c_mul(field, a, b), _c_gcd(field, a, b))[0])
+
+
 def parameter_lcm(f, g):
     """Monic lcm of two polynomials in the parameter."""
-    ring = f.ring
-    field = ring.field
     a = parameter_coefficients(f)
     b = parameter_coefficients(g)
     if not a or not b:
         raise InvalidArgumentError("lcm with zero")
-    d = _c_gcd(field, a, b)
-    prod = _c_mul(field, a, b)
-    return parameter_polynomial(ring, _c_monic(field, _c_divmod(field, prod, d)[0]))
+    return parameter_polynomial(f.ring, _c_lcm(f.ring.field, a, b))
 
 
 def parameter_monic(f):
@@ -168,39 +162,37 @@ class TorsionCertificate:
 
 def _leading_parameter_content(G):
     """lcm over the basis of the parameter coefficient of each element's
-    leading positive-degree monomial (block order: x above t)."""
+    leading positive-degree monomial (the order ranks x above t)."""
     ring = G.ring
+    field = ring.field
     r = ring.num_positive
-    h = ring.one()
+    h = [field.one]
     for v, (lead_mon, comp) in zip(G.elements, G.leads):
         xpart = lead_mon[:r]
-        coeffs = {}
-        for mon, c in v.components[comp].terms:
-            if mon[:r] == xpart:
-                coeffs[mon[r]] = c
-        content = parameter_polynomial(ring, [coeffs.get(k, ring.field.zero) for k in range(max(coeffs) + 1)])
-        h = parameter_lcm(h, content)
-    return h
+        coeffs = {mon[r]: c for mon, c in v.components[comp].terms if mon[:r] == xpart}
+        h = _c_lcm(field, h, [coeffs.get(k, field.zero) for k in range(max(coeffs) + 1)])
+    return parameter_polynomial(ring, h)
 
 
 def parameter_torsion(pres):
     """Torsion certificate of ambient/<relations> over the parameter line:
     generators of the saturation of the relations at the leading-content
     polynomial, reduced to normal form, plus the monic annihilator obtained
-    by contracting the colon ideal to the parameter."""
+    by contracting the colon ideal to the parameter.  One reduced basis of
+    the relations serves all three steps."""
     ring = pres.ring
     if not ring.has_parameter:
         raise InvalidArgumentError("parameter torsion needs a ring with a parameter")
     one = ring.one()
     if pres.ambient.rank == 0:
         return TorsionCertificate(None, (), one)
-    G = buchberger(pres, TermOrder.block_x_over_t())
+    G = buchberger(pres)
     if len(G) == 0:
         return TorsionCertificate(None, (), one)
     h = _leading_parameter_content(G)
     if h.is_constant():
         return TorsionCertificate(None, (), one)
-    sat = saturate(pres, h)
+    sat = saturate(SubmodulePresentation(pres.ambient, G.elements), h)
     torsion = []
     for v in sat.generators:
         nf = G.normal_form(v)
@@ -215,7 +207,8 @@ def parameter_torsion(pres):
 def _torsion_annihilator(G, torsion):
     """Monic generator of {p in k[t] : p * w in <relations> for all torsion
     generators w}: the kernel of p -> p * (w_1, ..., w_m) modulo m slotted
-    copies of the relations, contracted to k[t]."""
+    copies of the relations, contracted to k[t].  The kernel is a reduced
+    grevlex basis, which eliminates x: its one element in k[t] is monic."""
     ring = G.ring
     amb = G.module
     m = len(torsion)
@@ -230,11 +223,10 @@ def _torsion_annihilator(G, torsion):
             slot[j * f:(j + 1) * f] = u.components
             slotted.append(PolyVector(stacked_module, tuple(slot)))
     ann = module_kernel([stacked], (0,), ambient=stacked_module, modulo=slotted)
-    contracted = contract_to_parameter(
-        SubmodulePresentation.ideal(ring, [v.components[0] for v in ann]))
-    if not contracted:
-        raise InvalidArgumentError("torsion annihilator does not meet the parameter ring")
-    return parameter_monic(contracted[0])
+    for v in ann:
+        if v.components[0].is_parameter_only():
+            return v.components[0]
+    raise InvalidArgumentError("torsion annihilator does not meet the parameter ring")
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +259,7 @@ class FiberFullReport:
         c = self.at
         if c == 0:
             return "t"
-        try:
-            negative = c < 0
-        except TypeError:
-            negative = False
-        return "t+%s" % (-c,) if negative else "t-%s" % (c,)
+        return "t+%s" % (-c,) if c < 0 else "t-%s" % (c,)
 
     def to_json_dict(self):
         return {

@@ -440,7 +440,9 @@ def colon(pres, h):
         raise InvalidArgumentError("colon by the zero polynomial")
     amb = pres.ambient
     hdeg = h.degree() if h.is_homogeneous() else 0
-    vectors = [amb.basis_vector(j).mul_poly(h) for j in range(amb.rank)]
+    zero = pres.ring.zero()
+    vectors = [PolyVector(amb, [h if i == j else zero for i in range(amb.rank)])
+               for j in range(amb.rank)]
     twists = [d + hdeg for d in amb.twists]
     kernel = module_kernel(vectors, twists, ambient=amb, modulo=pres.generators)
     # the source twists are shifted by deg h; the same vectors in the ambient
@@ -448,33 +450,28 @@ def colon(pres, h):
 
 
 def saturate(pres, h):
-    """(U : h^inf), by iterating the colon until it stabilizes."""
+    """(U : h^inf) as a reduced basis, by colons until they stabilize; colon
+    returns a reduced basis, so the first comparison holds too when the
+    generators of ``pres`` already are one."""
     if h.is_zero():
         raise InvalidArgumentError("saturation by the zero polynomial")
-    # the first colon takes the given generators, often far fewer than the
-    # reduced basis; colon returns a reduced basis, so the comparison holds
-    current = SubmodulePresentation(pres.ambient, buchberger(pres).elements)
-    nxt = colon(pres, h)
+    current, nxt = pres, colon(pres, h)
     while nxt.generators != current.generators:
         current, nxt = nxt, colon(nxt, h)
     return current
 
 
 def contract_to_parameter(pres):
-    """Generators of I intersected with k[t], for an ideal I in k[t][x]."""
+    """Generators of I intersected with k[t], for an ideal I in k[t][x]: the
+    elements in k[t] of its reduced basis.  t has degree 0, so grevlex ranks
+    every monomial containing an x above every power of t and eliminates x."""
     ring = pres.ring
     if not ring.has_parameter:
         raise InvalidArgumentError("contraction needs a ring with a parameter variable")
     if pres.ambient.rank != 1:
         raise InvalidArgumentError("contraction is defined for ideals")
-    G = buchberger(pres, TermOrder.block_x_over_t())
-    r = ring.num_positive
-    out = []
-    for v in G.elements:
-        poly = v.components[0]
-        if all(all(e == 0 for e in m[:r]) for m, _ in poly.terms):
-            out.append(poly)
-    return out
+    polys = (v.components[0] for v in buchberger(pres).elements)
+    return [p for p in polys if p.is_parameter_only()]
 
 
 def is_squarefree(pres):

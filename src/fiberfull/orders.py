@@ -21,12 +21,13 @@ LT, EQ, GT = -1, 0, 1
 
 
 class TermOrder:
-    """One of lex, grevlex, weight-refined, or the x-over-t block order.
+    """One of lex, grevlex or weight-refined.
 
-    The block order compares positive-degree parts first (grevlex), then the
-    parameter exponent, so every monomial in t alone sits below every
-    monomial containing an x-variable; with a parameter present the grevlex
-    order here has the same elimination property by construction.
+    grevlex takes the ring's canonical key: the degree, then grevlex on the
+    positive-degree part, then the parameter exponent.  t has degree 0, so
+    every monomial containing an x-variable sits above every power of t and
+    grevlex eliminates x over k[t].  ``block-x-over-t`` names the same order
+    in the input grammar and takes grevlex's key.
     """
 
     __slots__ = ("kind", "omega", "tiebreak")

@@ -8,9 +8,9 @@ Grammar (whitespace-insensitive, statements end with ';'):
     order (lex | grevlex | block-x-over-t | weights:<w1>,...,<wr>) ;
     window <lo>:<hi> ;
 
-Polynomials use exact integer or rational literals (``a/b``), ``*`` for
-products, ``^`` for powers, and the declared variable names.  Diagnostics
-carry line and column.
+Each statement appears at most once.  Polynomials use exact integer or
+rational literals (``a/b``), ``*`` for products, ``^`` for powers, and the
+declared variable names.  Diagnostics carry line and column.
 """
 
 from dataclasses import dataclass
@@ -209,8 +209,7 @@ class ProblemSpec:
     def with_field(self, field):
         if field == self.ring.field:
             return self
-        names = self.ring.names[:-1] if self.ring.has_parameter else self.ring.names
-        ring = make_ring(self.ring.weights, self.ring.has_parameter, field, names)
+        ring = self.ring.with_field(field)
         gens = tuple(
             ring.poly([(m, field.coerce(c)) for m, c in g.terms])
             for g in self.generators
@@ -312,11 +311,13 @@ def parse_input(text):
     generators = None
     order = None
     window = None
+    seen = set()
     while cur.peek().kind != "EOF":
         tok = cur.expect("NAME", "a statement keyword")
+        if tok.text in seen:
+            raise ParseError("duplicate %s declaration" % tok.text, tok.line, tok.col)
+        seen.add(tok.text)
         if tok.text == "ring":
-            if ring is not None:
-                raise ParseError("duplicate ring declaration", tok.line, tok.col)
             ring_name, ring = _parse_ring_stmt(cur)
         elif tok.text == "ideal":
             ideal_name = cur.expect("NAME", "an ideal name").text

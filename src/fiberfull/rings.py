@@ -205,6 +205,12 @@ class Polynomial:
     def is_monomial(self):
         return len(self.terms) == 1
 
+    def is_parameter_only(self):
+        """True when no positive-degree variable occurs: a polynomial in the
+        parameter alone, constants included."""
+        r = len(self.ring.weights)
+        return not any(any(m[:r]) for m, _ in self.terms)
+
     def constant_value(self):
         if not self.terms:
             return self.ring.field.zero

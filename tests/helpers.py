@@ -2,17 +2,22 @@
 (brute-force standard-monomial counting, Krull dimension by a subset scan,
 S-pair closure, degreewise exactness by exact linear algebra, division by a
 linear scan of the basis, minimization that restarts its scan after every
-pivot, colon and Ext relations as the heads of a syzygy graph)."""
+pivot, colon and Ext relations as the heads of a syzygy graph, saturation
+from a reduced basis of its own, the torsion annihilator contracted to k[t]
+by a block-order basis)."""
 
 from fiberfull import (
     GradedFreeModule,
     PolyVector,
     SubmodulePresentation,
+    TermOrder,
     buchberger,
+    colon,
     make_ring,
     module_kernel,
     monomials_of_degree,
     normal_form,
+    parameter_monic,
 )
 from fiberfull.ext import _dual_columns
 from fiberfull.groebner import _tv_add, _tv_mul_term
@@ -270,3 +275,37 @@ def graph_ext(res, i):
     ambient = GradedFreeModule(res.ring, kernel_twists)
     heads = _syzygy_heads(list(kernel) + image, twists, dual, ambient, len(kernel))
     return SubmodulePresentation(ambient, heads)
+
+
+def buchberger_saturate(pres, h):
+    """(U : h^inf) as a reduced basis: a Groebner basis of U to compare the
+    first colon with, then colons until the basis stabilizes."""
+    current = SubmodulePresentation(pres.ambient, buchberger(pres).elements)
+    nxt = colon(pres, h)
+    while nxt.generators != current.generators:
+        current, nxt = nxt, colon(nxt, h)
+    return current
+
+
+def contraction_annihilator(G, torsion):
+    """Monic generator of {p in k[t] : p * w in <G> for every w in
+    ``torsion``}: the kernel of p -> p * (w_1, ..., w_m) modulo slotted
+    copies of G, then a basis of that ideal under the block order (x above
+    t), whose elements free of x generate its contraction to k[t]."""
+    ring = G.ring
+    f = G.module.rank
+    m = len(torsion)
+    stacked_module = GradedFreeModule(ring, G.module.twists * m)
+    stacked = PolyVector(stacked_module, tuple(c for w in torsion for c in w.components))
+    slotted = []
+    for j in range(m):
+        for u in G.elements:
+            slot = [ring.zero()] * (f * m)
+            slot[j * f:(j + 1) * f] = u.components
+            slotted.append(PolyVector(stacked_module, tuple(slot)))
+    kernel = module_kernel([stacked], (0,), ambient=stacked_module, modulo=slotted)
+    ideal = SubmodulePresentation.ideal(ring, [v.components[0] for v in kernel])
+    r = ring.num_positive
+    contracted = [v.components[0] for v in buchberger(ideal, TermOrder.block_x_over_t()).elements
+                  if all(not any(mon[:r]) for mon, _ in v.components[0].terms)]
+    return parameter_monic(contracted[0])

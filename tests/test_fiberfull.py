@@ -23,10 +23,11 @@ from fiberfull import (
     parameter_lcm,
     parameter_monic,
     parameter_torsion,
+    saturate,
     verify_degeneration,
 )
 from fiberfull.ext import _ext_from_resolution
-from fiberfull.fiberfull import generic_point
+from fiberfull.fiberfull import _leading_parameter_content, _torsion_annihilator, generic_point
 from fiberfull.resolution import _schreyer_frame
 from fixtures import (
     hypersurface_conic,
@@ -35,7 +36,7 @@ from fixtures import (
     squarefree_presentations,
     twisted_cubic,
 )
-from helpers import vector_in_submodule
+from helpers import buchberger_saturate, contraction_annihilator, vector_in_submodule
 
 
 def _line_ring():
@@ -182,6 +183,93 @@ def test_certificates_match_the_schreyer_frame(name):
         assert [v.certificate.annihilator for v in rep.verdicts] == reference
         assert [v.free_over_base for v in rep.verdicts] == [
             evaluate_parameter(g, c) != field.zero for g in reference]
+
+
+def _certificate_modules():
+    """Every parameter family and each of its Ext modules, then planted
+    diagonal modules (+) S[t]/(p_j m_j) over GF(32003)[t][x,y,z], with p_j a
+    product of one or two factors t - c and m_j a monomial of degree two."""
+    for pres in PARAMETER_FAMILIES.values():
+        res = free_resolution(pres)
+        yield pres
+        for i in range(pres.ring.num_positive + 1):
+            yield _ext_from_resolution(res, i)
+    rng = random.Random(20261018)
+    R = make_ring([1, 1, 1], True, field=GF(32003), names=["x", "y", "z"])
+    t = R.parameter()
+    for k in range(6):
+        n = 2 + k % 2
+        amb = GradedFreeModule(R, (0,) * n)
+        gens = []
+        for j in range(n):
+            p = R.one()
+            for c in rng.sample(range(4), 1 + (j + k) % 2):
+                p = p * (t - R.constant(c))
+            comps = [R.zero()] * n
+            comps[j] = p * R.variable(rng.randrange(3)) * R.variable(rng.randrange(3))
+            gens.append(PolyVector(amb, tuple(comps)))
+        yield SubmodulePresentation(amb, gens)
+
+
+def test_certificates_match_their_reference_routes():
+    # parameter_torsion computes one reduced basis per module: it saturates
+    # from that basis and reads the annihilator off the kernel basis.  The
+    # references compute a basis of their own for each step
+    torsion_cases = 0
+    for U in _certificate_modules():
+        if not U.generators:
+            continue
+        t = U.ring.parameter()
+        assert saturate(U, t) == buchberger_saturate(U, t)
+        G = buchberger(U)
+        h = _leading_parameter_content(G)
+        if h.is_constant():
+            continue
+        reference = buchberger_saturate(U, h)
+        assert saturate(U, h) == reference
+        assert saturate(SubmodulePresentation(U.ambient, G.elements), h) == reference
+        cert = parameter_torsion(U)
+        if cert.torsion_generators:
+            assert cert.annihilator == contraction_annihilator(G, cert.torsion_generators)
+            torsion_cases += 1
+    assert torsion_cases >= 10
+
+
+def test_torsion_annihilator_needs_torsion():
+    # no polynomial in t alone kills 1 modulo (x^2): the kernel basis is
+    # (x^2), which does not meet k[t], and there is no certificate
+    Rt = _line_ring()
+    G = buchberger(SubmodulePresentation.ideal(Rt, [Rt.variable(0) ** 2]))
+    with pytest.raises(InvalidArgumentError):
+        _torsion_annihilator(G, [G.module.basis_vector(0)])
+
+
+def test_parameter_torsion_computes_one_basis(monkeypatch):
+    import fiberfull.fiberfull
+    import fiberfull.groebner
+
+    real = {"buchberger": fiberfull.groebner.buchberger,
+            "contract_to_parameter": fiberfull.groebner.contract_to_parameter,
+            "parameter_monic": fiberfull.fiberfull.parameter_monic}
+    calls = dict.fromkeys(real, 0)
+
+    def counting(name):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real[name](*args, **kwargs)
+        return counted
+
+    # patched in both modules, so a call through either name is counted
+    for module in (fiberfull.fiberfull, fiberfull.groebner):
+        for name in real:
+            monkeypatch.setattr(module, name, counting(name), raising=False)
+    pres = PARAMETER_FAMILIES["ideal-A"]
+    cert = parameter_torsion(pres)
+    assert cert.torsion_generators and not cert.annihilator.is_constant()
+    assert calls == {"buchberger": 1, "contract_to_parameter": 0, "parameter_monic": 0}
+    # saturate starts from the generators it is given
+    saturate(pres, pres.ring.parameter())
+    assert calls["buchberger"] == 1
 
 
 def test_generic_point_checks_deg_g_plus_one_candidates():

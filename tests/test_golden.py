@@ -35,21 +35,27 @@ QUARTIC = (
     "ideal I = (y*z - x*w, z^3 - y*w^2, x*z^2 - y^2*w, y^3 - x^2*z);\n"
 )
 
+# (test id, input, arguments, sha256 of stdout).  The two checks of
+# LOCUS_INPUT pin certificates whose Ext annihilator is not constant
 GOLDEN = [
-    (MINORS_2X3, ["cv-verify", "--order", "lex"],
+    ("cv-verify", MINORS_2X3, ["cv-verify", "--order", "lex"],
      "bf0a0cd72ca7107b46d13ee07df1e3c478deb4747606003d994eff998eb461be"),
-    (PARAM_FAMILY, ["resolve"],
+    ("resolve", PARAM_FAMILY, ["resolve"],
      "ab623d1baf6c41f53d3524b7942548b097b7ffd8aedc51899ec2f5e89342830d"),
-    (TORSION_FP7, ["fiberfull", "--at", "0"],
+    ("fiberfull", TORSION_FP7, ["fiberfull", "--at", "0"],
      "96a18cfe3a4a30c8bd0cc6ea7ef556378a9a977b19a1b0f8d369682ae44a8c18"),
-    (LOCUS_INPUT, ["locus"],
+    ("locus", LOCUS_INPUT, ["locus"],
      "b1ccefe9651bff75dea6733718b9b9b6d8b0123d5fad8dd77223df9b55c9e587"),
-    (QUARTIC, ["betti"],
+    ("betti", QUARTIC, ["betti"],
      "4b1d3bbd97019d59e64bc42ba3c0e667a77b7d2ffcb0102c80e78c9a9f500b01"),
+    ("fiberfull-locus-at0", LOCUS_INPUT, ["fiberfull", "--at", "0"],
+     "b851249568167ec07f0f30458b2a4e867c00f2162e31cfd873ec7401d880fab8"),
+    ("fiberfull-locus-at1", LOCUS_INPUT, ["fiberfull", "--at", "1"],
+     "249331bf983a076574a8c33bb3cc8809b219d33d6db9b72154331435e82d6ce0"),
 ]
 
 
-@pytest.mark.parametrize("text,argv,digest", GOLDEN, ids=[g[1][0] for g in GOLDEN])
+@pytest.mark.parametrize("text,argv,digest", [g[1:] for g in GOLDEN], ids=[g[0] for g in GOLDEN])
 def test_cli_stdout_is_pinned(tmp_path, text, argv, digest):
     path = _write(tmp_path, "input.ring", text)
     out = _run([argv[0], path] + argv[1:])

@@ -36,6 +36,19 @@ def test_parse_full_directives():
         assert (err.value.line, err.value.col) == (text.count("\n") + 1, 1)
 
 
+def test_repeated_statements_are_rejected():
+    # a second statement would silently replace the first
+    head = "ring S vars (x,y) weights (1,1) field QQ;\n"
+    for first, second in (("ideal I = (x);", "ideal J = (y);"), ("order lex;", "order grevlex;"),
+                          ("window -2:2;", "window 0:1;"),
+                          ("", "ring T vars (x) weights (1) field QQ;")):
+        with pytest.raises(ParseError) as err:
+            parse_input(head + first + "\n  " + second + "\n")
+        keyword = second.split()[0]
+        assert "duplicate %s" % keyword in err.value.message
+        assert (err.value.line, err.value.col) == (3, 3)
+
+
 def test_undeclared_variable_positions():
     with pytest.raises(ParseError) as err:
         parse_input("ring S vars (x,y) weights (1,1) field QQ; ideal I = (x*w);")
