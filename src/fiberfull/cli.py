@@ -6,8 +6,10 @@ Commands: gb, resolve, betti, hilbert, localcohom, fiberfull, locus,
 cv-verify.  Reports are JSON on stdout (CSV for Hilbert/Betti tables with
 --csv); identical inputs produce byte-identical output.
 
-Flags: --order, --field, --window, --json-out, --csv; --i (localcohom,
-required) and --at (fiberfull).  Run fiberfull <command> --help for details.
+Flags: every command reads --field and --json-out; gb reads --order, betti
+--csv, hilbert --window and --csv, localcohom --window, --csv and --i
+(required), fiberfull --at, cv-verify --order and --window.  Any other flag
+is a usage error.  Run fiberfull <command> --help for details.
 
 Exit codes: 0 on success and for --help, 2 on a theorem-violation error, 1
 on any other error, a bad flag included.  Every error prints a JSON
@@ -34,7 +36,19 @@ from .orders import TermOrder, order_from_string
 from .parser import parse_input
 from .resolution import betti_table, depth_and_regularity, free_resolution
 
-COMMANDS = ("gb", "resolve", "betti", "hilbert", "localcohom", "fiberfull", "locus", "cv-verify")
+# the flags each command reads besides --field and --json-out, which every
+# command reads
+COMMAND_FLAGS = {
+    "gb": ("--order",),
+    "resolve": (),
+    "betti": ("--csv",),
+    "hilbert": ("--window", "--csv"),
+    "localcohom": ("--window", "--csv", "--i"),
+    "fiberfull": ("--at",),
+    "locus": (),
+    "cv-verify": ("--order", "--window"),
+}
+COMMANDS = tuple(COMMAND_FLAGS)
 
 DEFAULT_VERIFY_FIELD = 32003
 
@@ -51,21 +65,6 @@ class _FlagParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _build_flag_parser(command):
-    p = _FlagParser(prog="fiberfull %s" % command, add_help=True)
-    p.add_argument("input", help="problem file, or - for stdin")
-    p.add_argument("--order", default=None, help="lex | grevlex | block-x-over-t | weights:<csv>")
-    p.add_argument("--field", default=None, help="QQ | Fp:<p>")
-    p.add_argument("--window", default=None, type=_parse_window, help="<lo>:<hi>")
-    p.add_argument("--json-out", default=None, help="also write the report to this path")
-    p.add_argument("--csv", action="store_true", help="emit CSV for Hilbert/Betti tables")
-    if command == "localcohom":
-        p.add_argument("--i", type=int, required=True, help="cohomological index")
-    if command == "fiberfull":
-        p.add_argument("--at", type=int, default=0, help="check at the prime (t - c)")
-    return p
-
-
 def _parse_window(text):
     """argparse type of --window; a bad value becomes a usage error."""
     lo, _, hi = text.partition(":")
@@ -76,6 +75,28 @@ def _parse_window(text):
     if window[0] > window[1]:
         raise argparse.ArgumentTypeError("window bounds out of order in %r" % text)
     return window
+
+
+# every flag, in the order the usage line lists them
+_FLAG_OPTIONS = {
+    "--order": {"help": "lex | grevlex | block-x-over-t | weights:<csv>"},
+    "--field": {"help": "QQ | Fp:<p>"},
+    "--window": {"type": _parse_window, "help": "<lo>:<hi>"},
+    "--json-out": {"help": "also write the report to this path"},
+    "--csv": {"action": "store_true", "help": "emit CSV for Hilbert/Betti tables"},
+    "--i": {"type": int, "required": True, "help": "cohomological index"},
+    "--at": {"type": int, "default": 0, "help": "check at the prime (t - c)"},
+}
+
+
+def _build_flag_parser(command):
+    p = _FlagParser(prog="fiberfull %s" % command, add_help=True)
+    p.add_argument("input", help="problem file, or - for stdin")
+    read = ("--field", "--json-out") + COMMAND_FLAGS[command]
+    for flag, options in _FLAG_OPTIONS.items():
+        if flag in read:
+            p.add_argument(flag, **options)
+    return p
 
 
 def _parse_field(text):
@@ -110,15 +131,19 @@ def _load(command, args):
         # certified reruns use --field QQ; the default trades certainty in
         # characteristic zero for speed
         spec = spec.with_field(GF(DEFAULT_VERIFY_FIELD))
-    order = spec.order
+    return spec
+
+
+def _order(spec, args):
+    """--order, else the input's order statement, else grevlex."""
     if args.order is not None:
-        order = order_from_string(args.order)
-    if order is None:
-        order = TermOrder.grevlex()
-    window = args.window or spec.window
-    if window is None:
-        window = (-spec.ring.delta - 10, 10)
-    return spec, order, window
+        return order_from_string(args.order)
+    return spec.order or TermOrder.grevlex()
+
+
+def _window(spec, args):
+    """--window, else the input's window statement, else (-delta - 10, 10)."""
+    return args.window or spec.window or (-spec.ring.delta - 10, 10)
 
 
 def _presentation(spec):
@@ -127,7 +152,7 @@ def _presentation(spec):
 
 def run_command(command, args):
     """Execute one command; returns (report dict, csv lines or None)."""
-    spec, order, window = _load(command, args)
+    spec = _load(command, args)
     pres = _presentation(spec)
     report = {
         "command": command,
@@ -137,6 +162,7 @@ def run_command(command, args):
     csv_lines = None
 
     if command == "gb":
+        order = _order(spec, args)
         G = buchberger(pres, order)
         init = initial_module(G)
         report["order"] = order.describe()
@@ -162,16 +188,13 @@ def run_command(command, args):
             csv_lines = ["i,j,beta"]
             for (i, j), beta in sorted(table.entries.items()):
                 csv_lines.append("%d,%d,%d" % (i, j, beta))
-    elif command == "hilbert":
-        table = hilbert_function(pres, window)
-        report["window"] = [window[0], window[1]]
-        report["table"] = table.to_json_dict()
-        if args.csv:
-            csv_lines = ["nu,dim"] + ["%d,%d" % (nu, table.dims[nu])
-                                      for nu in range(window[0], window[1] + 1)]
-    elif command == "localcohom":
-        table = local_cohomology_hilbert(pres, args.i, window)
-        report["i"] = args.i
+    elif command in ("hilbert", "localcohom"):
+        window = _window(spec, args)
+        if command == "hilbert":
+            table = hilbert_function(pres, window)
+        else:
+            table = local_cohomology_hilbert(pres, args.i, window)
+            report["i"] = args.i
         report["window"] = [window[0], window[1]]
         report["table"] = table.to_json_dict()
         if args.csv:
@@ -184,7 +207,7 @@ def run_command(command, args):
         g = fiber_full_locus(pres)
         report["g"] = str(g)
     elif command == "cv-verify":
-        deg = verify_degeneration(pres, order, window)
+        deg = verify_degeneration(pres, _order(spec, args), _window(spec, args))
         report["report"] = deg.to_json_dict()
     else:
         raise UnknownCommandError("unknown command %r" % command)

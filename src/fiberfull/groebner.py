@@ -286,18 +286,15 @@ class GroebnerBasis:
     def normal_form(self, v):
         return normal_form(v, self)
 
-    def contains(self, v):
-        return normal_form(v, self).is_zero()
-
     def __repr__(self):
         return "GroebnerBasis(%d elements, %s)" % (len(self.elements), self.ring_order.describe())
 
 
-def buchberger(pres, order=None, module_order=None):
+def buchberger(pres, order=None):
     """Reduced Groebner basis of the submodule spanned by the generators."""
     ring = pres.ring
     order = order or TermOrder.grevlex()
-    morder = module_order or TOPOrder(ring, order)
+    morder = TOPOrder(ring, order)
     twists = pres.ambient.twists
     tvs = [_tv_from_vector(v, morder) for v in pres.generators]
     marked = gb_engine(tvs, morder, ring.field, ring, twists, pres.ambient.rank)
@@ -401,7 +398,7 @@ def syzygies(G):
 # kernels, colon, saturation, elimination
 
 
-def module_kernel(vectors, source_twists, ambient=None, modulo=()):
+def module_kernel(vectors, source_twists, ambient, modulo=()):
     """Kernel of the map from a free module with the given twists to
     ambient/<modulo> sending the i-th basis vector to ``vectors[i]``.
 
@@ -410,10 +407,6 @@ def module_kernel(vectors, source_twists, ambient=None, modulo=()):
     the elements with zero ambient part span the kernel and, the order
     restricted to the source being term over position, are its reduced
     basis."""
-    if ambient is None:
-        if not vectors:
-            raise InvalidArgumentError("need an ambient module for an empty map")
-        ambient = vectors[0].module
     ring = ambient.ring
     f = ambient.rank
     n = len(vectors)
@@ -490,20 +483,11 @@ def is_squarefree(pres):
 # weight vectors and homogenization
 
 
-def _gb_of_ideal_source(source, order):
-    if isinstance(source, GroebnerBasis):
-        return source
-    if order is None:
-        raise InvalidArgumentError("a term order is required when passing raw generators")
-    return buchberger(source, order)
-
-
-def weight_vector_for(source, order=None):
-    """A nonnegative integer vector giving each reduced-basis element its
-    marked leading term with slack >= 1; deterministic: minimal total weight,
-    then lexicographically smallest.  The all-zero solution (monomial ideal)
-    is normalized to all ones."""
-    G = _gb_of_ideal_source(source, order)
+def weight_vector_for(G):
+    """A nonnegative integer vector giving each element of the reduced basis
+    G its marked leading term with slack >= 1; deterministic: minimal total
+    weight, then lexicographically smallest.  The all-zero solution (monomial
+    ideal) is normalized to all ones."""
     ring = G.ring
     if ring.has_parameter:
         raise InvalidArgumentError("weight vectors are computed over parameter-free rings")
@@ -534,12 +518,11 @@ def weight_vector_for(source, order=None):
     raise InvalidArgumentError("no weight vector found below total weight 10000")
 
 
-def homogenize_omega(source, omega, order=None):
-    """Homogenize a reduced basis with respect to a weight vector: each term
-    c*x^a of g becomes c*t^(m - omega.a)*x^a with m the maximal weight over
-    the terms of g.  Setting t=0 must recover the marked leading terms and
-    t=1 must recover the inputs; failures raise weight-vector-mismatch."""
-    G = _gb_of_ideal_source(source, order)
+def homogenize_omega(G, omega):
+    """Homogenize the reduced basis G with respect to a weight vector: each
+    term c*x^a of g becomes c*t^(m - omega.a)*x^a with m the maximal weight
+    over the terms of g.  Setting t=0 must recover the marked leading terms
+    and t=1 must recover the inputs; failures raise weight-vector-mismatch."""
     ring = G.ring
     if ring.has_parameter:
         raise InvalidArgumentError("input ideal must live in a parameter-free ring")

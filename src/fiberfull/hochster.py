@@ -16,8 +16,8 @@ from .linalg import matrix_rank
 
 
 def complex_from_squarefree(pres):
-    """Faces of the simplicial complex whose face ring is ambient/<gens>:
-    subsets whose product monomial avoids every generator."""
+    """Faces of the simplicial complex whose face ring is ambient/<gens>, as
+    a frozenset: subsets whose product monomial avoids every generator."""
     if pres.ambient.rank != 1:
         raise InvalidArgumentError("square-free quotients are rank-1 presentations")
     if not is_squarefree(pres):
@@ -30,25 +30,20 @@ def complex_from_squarefree(pres):
     for g in pres.generators:
         mon = g.components[0].terms[0][0]
         supports.append(frozenset(i for i, e in enumerate(mon) if e))
-    faces = []
+    faces = set()
     for size in range(n + 1):
         for subset in combinations(range(n), size):
             fs = frozenset(subset)
             if not any(s <= fs for s in supports):
-                faces.append(fs)
-    return faces
+                faces.add(fs)
+    return frozenset(faces)
 
 
 def link(faces, face):
+    """Faces g of the complex ``faces`` (a frozenset) disjoint from ``face``
+    with g | face a face."""
     face = frozenset(face)
-    face_set = set(faces)
-    out = []
-    for g in faces:
-        if g & face:
-            continue
-        if (g | face) in face_set:
-            out.append(g)
-    return out
+    return [g for g in faces if not g & face and (g | face) in faces]
 
 
 def reduced_cohomology_dims(faces, field):

@@ -8,10 +8,12 @@ of m * u is the key of m plus a shift vector that depends on u alone
 (``shift``); multiplying a term list by a term updates its keys by one
 entrywise sum instead of re-deriving them.
 
-Module monomials are pairs ``(monomial, component)``.  The standing module
-order is term-over-position (lower component index wins ties); syzygy levels
-use the order induced by the leading terms of a marked basis, which is what
-makes iterated syzygy computation canonical.
+Module monomials are pairs ``(monomial, component)``.  Each module order
+has ``key(mon, comp)`` and ``shift(mon)``, the vector adding which to
+``key(m, c)`` gives ``key(m * mon, c)``.  The standing module order is
+term-over-position (lower component index wins ties); syzygy levels use the
+order induced by the leading terms of a marked basis, which is what makes
+iterated syzygy computation canonical.
 """
 
 from .errors import InvalidArgumentError, OrderMismatchError
@@ -27,17 +29,17 @@ class TermOrder:
     positive-degree part, then the parameter exponent.  t has degree 0, so
     every monomial containing an x-variable sits above every power of t and
     grevlex eliminates x over k[t].  ``block-x-over-t`` names the same order
-    in the input grammar and takes grevlex's key.
+    in the input grammar and takes grevlex's key.  A weight-refined order
+    breaks weight ties by grevlex.
     """
 
-    __slots__ = ("kind", "omega", "tiebreak")
+    __slots__ = ("kind", "omega")
 
-    def __init__(self, kind, omega=None, tiebreak=None):
+    def __init__(self, kind, omega=None):
         if kind not in ("lex", "grevlex", "weighted", "block-x-over-t"):
             raise InvalidArgumentError("unknown term order kind %r" % (kind,))
         self.kind = kind
         self.omega = tuple(omega) if omega is not None else None
-        self.tiebreak = tiebreak
         if kind == "weighted":
             if self.omega is None:
                 raise InvalidArgumentError("weight-refined order needs a weight vector")
@@ -53,8 +55,8 @@ class TermOrder:
         return TermOrder("grevlex")
 
     @staticmethod
-    def weighted(omega, tiebreak=None):
-        return TermOrder("weighted", omega, tiebreak or TermOrder.grevlex())
+    def weighted(omega):
+        return TermOrder("weighted", omega)
 
     @staticmethod
     def block_x_over_t():
@@ -72,7 +74,7 @@ class TermOrder:
                 "weight vector has %d entries for a ring with %d positive-degree variables"
                 % (len(self.omega), r))
         w = sum(o * e for o, e in zip(self.omega, mon))
-        return (w,) + tuple(self.tiebreak.key(ring, mon))
+        return (w, *ring.canonical_key(mon))
 
     def describe(self):
         if self.kind == "weighted":
@@ -84,11 +86,10 @@ class TermOrder:
             isinstance(other, TermOrder)
             and self.kind == other.kind
             and self.omega == other.omega
-            and self.tiebreak == other.tiebreak
         )
 
     def __hash__(self):
-        return hash((self.kind, self.omega, self.tiebreak))
+        return hash((self.kind, self.omega))
 
     def __repr__(self):
         return "TermOrder(%s)" % self.describe()
@@ -122,18 +123,7 @@ def compare_monomials(ring, order, a, b):
     return EQ
 
 
-class ModuleOrder:
-    """Base for orders on (monomial, component) pairs."""
-
-    def key(self, mon, comp):
-        raise NotImplementedError
-
-    def shift(self, mon):
-        """The vector adding which to key(m, c) gives key(m * mon, c)."""
-        raise NotImplementedError
-
-
-class TOPOrder(ModuleOrder):
+class TOPOrder:
     """Term over position: ring order first, lower component wins ties."""
 
     __slots__ = ("ring", "term_order")
@@ -159,7 +149,7 @@ class TOPOrder(ModuleOrder):
         return hash(("TOP", self.ring, self.term_order))
 
 
-class SchreyerOrder(ModuleOrder):
+class SchreyerOrder:
     """Order induced by the leading terms of a marked basis living in a
     parent module: compare images of leading terms, then position.  The
     key is the parent key of the image with -comp appended."""
@@ -178,7 +168,7 @@ class SchreyerOrder(ModuleOrder):
         return (*self.parent.shift(mon), 0)
 
 
-class BlockTOPOrder(ModuleOrder):
+class BlockTOPOrder:
     """Elimination order on components: the first ``split`` components sit
     above the rest; within each block, term over position."""
 

@@ -10,7 +10,8 @@ Grammar (whitespace-insensitive, statements end with ';'):
 
 Each statement appears at most once.  Polynomials use exact integer or
 rational literals (``a/b``), ``*`` for products, ``^`` for powers, and the
-declared variable names.  Diagnostics carry line and column.
+declared variable names; parentheses nest at most ``MAX_PAREN_DEPTH`` deep.
+Diagnostics carry line and column.
 """
 
 from dataclasses import dataclass
@@ -21,6 +22,10 @@ from .orders import order_from_string
 from .rings import GradedRing, make_ring
 
 _PUNCT = "(),;=^*+-/:"
+
+# deepest parenthesis nesting; each level costs the recursive-descent parser
+# four frames, so the bound stays well inside Python's recursion limit
+MAX_PAREN_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -127,6 +132,7 @@ class _PolyParser:
         self.cur = cursor
         self.ring = ring
         self.vars = var_index
+        self.depth = 0
 
     def parse_expr(self):
         node = self.parse_term()
@@ -154,13 +160,14 @@ class _PolyParser:
                 return node
 
     def parse_factor(self):
-        if self.cur.accept("-"):
-            return -self.parse_factor()
+        negate = False
+        while self.cur.accept("-"):
+            negate = not negate
         base = self.parse_atom()
         if self.cur.accept("^"):
             tok = self.cur.expect("INT", "an exponent")
             base = base ** int(tok.text)
-        return base
+        return -base if negate else base
 
     def parse_atom(self):
         tok = self.cur.peek()
@@ -174,8 +181,13 @@ class _PolyParser:
                 raise ParseError("undeclared variable %r" % tok.text, tok.line, tok.col)
             return self.ring.variable(idx)
         if tok.kind == "(":
+            if self.depth == MAX_PAREN_DEPTH:
+                raise ParseError("parentheses nested deeper than %d" % MAX_PAREN_DEPTH,
+                                 tok.line, tok.col)
             self.cur.next()
+            self.depth += 1
             node = self.parse_expr()
+            self.depth -= 1
             self.cur.expect(")", "a closing parenthesis")
             return node
         raise ParseError("expected a polynomial, found %r" % (tok.text or "end of input"),

@@ -218,9 +218,6 @@ class Polynomial:
             raise InvalidArgumentError("not a constant polynomial")
         return self.terms[0][1]
 
-    def monomials(self):
-        return [m for m, _ in self.terms]
-
     def coefficient(self, mon):
         mon = tuple(mon)
         for m, c in self.terms:
@@ -290,23 +287,18 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        """Square and multiply: about 2 log2(n) products."""
         if n < 0:
             raise InvalidArgumentError("negative polynomial power")
         out = self.ring.one()
-        for _ in range(n):
-            out = out * self
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
-
-    def scale(self, c):
-        return self * c
-
-    def monic(self):
-        if not self.terms:
-            return self
-        lead = self.terms[0][1]
-        inv = self.ring.field.inv(lead)
-        mul = self.ring.field.mul
-        return Polynomial(self.ring, tuple((m, mul(c, inv)) for m, c in self.terms))
 
     def mul_term(self, mon, coeff):
         mon = tuple(mon)
@@ -320,22 +312,21 @@ class Polynomial:
             tuple((mon_mul(m, mon), field.mul(c, coeff)) for m, c in self.terms),
         )
 
-    def specialize_parameter(self, value, target_ring=None):
-        """Substitute the parameter variable by a field element."""
-        ring = self.ring
-        ti = ring.parameter_index()
-        target = target_ring if target_ring is not None else ring.without_parameter()
-        field = target.field
+    def specialize_parameter(self, value, target_ring):
+        """Substitute the parameter variable by a field element; the result
+        lives in ``target_ring``, the ring without the parameter."""
+        ti = self.ring.parameter_index()
+        field = target_ring.field
         value = field.coerce(value)
         acc = []
         for m, c in self.terms:
             acc.append((m[:ti], field.mul(field.coerce(c), field.pow(value, m[ti]))))
-        return target.poly(acc)
+        return target_ring.poly(acc)
 
-    def extend_with_parameter(self, target_ring=None):
-        """View a parameter-free polynomial inside the parameter ring."""
-        target = target_ring if target_ring is not None else self.ring.with_parameter()
-        return target.poly([(m + (0,), c) for m, c in self.terms])
+    def extend_with_parameter(self, target_ring):
+        """View a parameter-free polynomial inside the parameter ring
+        ``target_ring``."""
+        return target_ring.poly([(m + (0,), c) for m, c in self.terms])
 
     def __eq__(self, other):
         return (

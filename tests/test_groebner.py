@@ -185,15 +185,15 @@ def test_is_squarefree():
 def test_homogenize_omega_examples():
     R = ring3()
     P = _ideal(R, "x*z - y^2")
-    J = homogenize_omega(P, (1, 1, 2), TermOrder.lex())
+    J = homogenize_omega(buchberger(P, TermOrder.lex()), (1, 1, 2))
     assert [str(v.components[0]) for v in J.generators] == ["-y^2*t + x*z"]
     # monomial ideals stay untouched
     M = _ideal(R, "x*y", "z")
-    JM = homogenize_omega(M, (1, 1, 1), TermOrder.grevlex())
+    JM = homogenize_omega(buchberger(M, TermOrder.grevlex()), (1, 1, 1))
     assert sorted(str(v.components[0]) for v in JM.generators) == ["x*y", "z"]
     # a weight vector that fails to isolate the marked lead is rejected
     with pytest.raises(WeightVectorMismatchError):
-        homogenize_omega(P, (1, 1, 1), TermOrder.lex())
+        homogenize_omega(buchberger(P, TermOrder.lex()), (1, 1, 1))
 
 
 def test_homogenize_specializations():
@@ -215,11 +215,11 @@ def test_homogenize_specializations():
 def test_weight_vector_examples():
     R = ring3()
     # monomial ideal: normalized all-ones
-    assert weight_vector_for(_ideal(R, "x*y", "y*z"), TermOrder.grevlex()) == (1, 1, 1)
-    w = weight_vector_for(_ideal(R, "x*z - y^2"), TermOrder.lex())
+    assert weight_vector_for(buchberger(_ideal(R, "x*y", "y*z"), TermOrder.grevlex())) == (1, 1, 1)
+    w = weight_vector_for(buchberger(_ideal(R, "x*z - y^2"), TermOrder.lex()))
     assert w[0] + w[2] > 2 * w[1]
     P = twisted_cubic()
-    w4 = weight_vector_for(P, TermOrder.grevlex())
+    w4 = weight_vector_for(buchberger(P, TermOrder.grevlex()))
     wx, wy, wz, ww = w4
     assert 2 * wy > wx + wz
     assert 2 * wz > wy + ww
@@ -229,8 +229,8 @@ def test_weight_vector_examples():
 def test_weight_vector_deterministic_and_minimal():
     R = ring3()
     P = _ideal(R, "x*z - y^2")
-    w1 = weight_vector_for(P, TermOrder.lex())
-    w2 = weight_vector_for(P, TermOrder.lex())
+    w1 = weight_vector_for(buchberger(P, TermOrder.lex()))
+    w2 = weight_vector_for(buchberger(P, TermOrder.lex()))
     assert w1 == w2
     # nothing of smaller total weight or lexicographically below works
     def satisfies(w):
@@ -272,7 +272,7 @@ def test_module_kernel_koszul():
     R = ring2()
     x, y = R.variable(0), R.variable(1)
     amb = GradedFreeModule(R, (0,))
-    ker = module_kernel([amb.vector([x]), amb.vector([y])], (1, 1))
+    ker = module_kernel([amb.vector([x]), amb.vector([y])], (1, 1), ambient=amb)
     assert len(ker) == 1
     a, b = ker[0].components
     assert (a * x + b * y).is_zero()
@@ -306,7 +306,7 @@ def test_lead_index_division_matches_linear_scan(monkeypatch):
         return marked
 
     monkeypatch.setattr(groebner, "gb_engine", recording_engine)
-    assert len(module_kernel(columns, (2,) * 6)) == 4
+    assert len(module_kernel(columns, (2,) * 6, ambient=K1)) == 4
     (tvs, morder, twists, reduced), = calls
     graph = [_mark(tv, field) for tv in tvs]
     combined = GradedFreeModule(R, twists)

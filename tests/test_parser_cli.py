@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from fiberfull import GF, InvalidFieldError, ParseError, parse_input
+from fiberfull import GF, InvalidFieldError, ParseError, cli, parse_input
+from fiberfull.parser import MAX_PAREN_DEPTH
 from fixtures import PARSER_CORPUS
 
 CLI = [sys.executable, "-m", "fiberfull.cli"]
@@ -70,6 +71,19 @@ def test_non_prime_field_rejected():
         parse_input("ring S vars (x) weights (1) field Fp 32004; ideal I = (x);")
 
 
+def test_parenthesis_depth_is_bounded():
+    head = "ring S vars (x,y) weights (1,1) field QQ;\nideal I = ("
+    at_bound = parse_input(head + "(" * MAX_PAREN_DEPTH + "x" + ")" * MAX_PAREN_DEPTH + ");")
+    assert [str(g) for g in at_bound.generators] == ["x"]
+    with pytest.raises(ParseError) as err:
+        parse_input(head + "(" * (MAX_PAREN_DEPTH + 1) + "x" + ")" * (MAX_PAREN_DEPTH + 1) + ");")
+    # the error points at the first parenthesis past the bound
+    assert (err.value.line, err.value.col) == (2, len("ideal I = (") + MAX_PAREN_DEPTH + 1)
+    # unary minus folds in a loop, at any count
+    minus = parse_input(head + "-" * 5001 + "x^2 - " + "-" * 5000 + "y);")
+    assert [str(g) for g in minus.generators] == ["-x^2 - y"]
+
+
 def test_round_trip_corpus():
     for text in PARSER_CORPUS:
         spec = parse_input(text)
@@ -115,6 +129,16 @@ def test_cli_gb_and_determinism(tmp_path):
     payload = json.loads(first.stdout)
     assert payload["basis"] == ["y^2 - x*z"]
     assert payload["leading_terms"] == ["y^2"]
+    # a power takes about 2 log2(n) products, and unary minus signs fold in
+    # a loop, not one recursion each
+    head = "ring S vars (x,y) weights (1,1) field QQ;\n"
+    for name, ideal, basis in (("binomial", "x^100000000 - y^100000000",
+                                ["x^100000000 - y^100000000"]),
+                               ("minus", "-" * 5000 + "x", ["x"])):
+        out = _run(["gb", _write(tmp_path, name + ".ring", head + "ideal I = (%s);\n" % ideal)],
+                   timeout=60)
+        assert out.returncode == 0, name
+        assert json.loads(out.stdout)["basis"] == basis, name
 
 
 def test_cli_localcohom_table(tmp_path):
@@ -166,12 +190,17 @@ def test_cli_unknown_command_error():
 
 
 def test_cli_parse_error_is_machine_readable(tmp_path):
-    path = _write(tmp_path, "bad.ring", "ideal I = (x*w);\n")
-    out = _run(["gb", path])
-    assert out.returncode == 1
-    payload = json.loads(out.stdout)
-    assert payload["error"]["kind"] == "syntax"
-    assert "line" in payload["error"]
+    # the nested inputs used to exhaust Python's recursion limit and print
+    # a traceback with nothing on stdout
+    head = "ring S vars (x,y) weights (1,1) field QQ;\nideal I = ("
+    for name, text in (("bad", "ideal I = (x*w);\n"),
+                       ("parens", head + "(" * 3000 + "x" + ")" * 3000 + ");\n"),
+                       ("minus-parens", head + "-(" * 3000 + "x" + ")" * 3000 + ");\n")):
+        out = _run(["gb", _write(tmp_path, name + ".ring", text)])
+        assert out.returncode == 1, name
+        payload = json.loads(out.stdout)
+        assert payload["error"]["kind"] == "syntax", name
+        assert "line" in payload["error"] and "col" in payload["error"], name
 
 
 def test_cli_json_out_writes_identical_bytes(tmp_path):
@@ -183,7 +212,7 @@ def test_cli_json_out_writes_identical_bytes(tmp_path):
     assert target.read_bytes() == out.stdout
 
 
-def test_cli_flag_errors_are_usage_errors(tmp_path):
+def test_cli_flag_errors_are_usage_errors(tmp_path, capsys):
     path = _write(tmp_path, "conic.ring",
                   "ring S vars (x,y,z) weights (1,1,1) field QQ;\nideal I = (x*z - y^2);\n")
     for args in (["gb", path, "--bogus"], ["localcohom", path], ["gb"], ["gb", path, "--threads", "2"],
@@ -193,6 +222,27 @@ def test_cli_flag_errors_are_usage_errors(tmp_path):
         payload = json.loads(out.stdout)
         assert payload["error"]["kind"] == "usage", args
         assert payload["error"]["usage"].startswith("usage: fiberfull"), args
+    # a flag is accepted by the commands that read it and is a usage error
+    # for every other command; the 16 pairs of --order, --window or --csv
+    # with a command that does not read it used to be accepted and dropped
+    values = {"--order": ["grevlex"], "--field": ["QQ"], "--window": ["0:3"],
+              "--json-out": [str(tmp_path / "out.json")], "--csv": [], "--i": ["1"],
+              "--at": ["1"]}
+    reads = {"gb": {"--order"}, "resolve": set(), "betti": {"--csv"},
+             "hilbert": {"--window", "--csv"}, "localcohom": {"--window", "--csv", "--i"},
+             "fiberfull": {"--at"}, "locus": set(), "cv-verify": {"--order", "--window"}}
+    assert set(reads) == set(cli.COMMANDS)
+    for command, read in reads.items():
+        required = ["--i", "1"] if command == "localcohom" else []
+        for flag, value in values.items():
+            argv = [path, flag] + value
+            if flag in read or flag in ("--field", "--json-out"):
+                cli._build_flag_parser(command).parse_args(argv + required)
+                continue
+            assert cli.main([command] + argv + required) == 1, (command, flag)
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["error"]["kind"] == "usage", (command, flag)
+            assert payload["error"]["usage"].startswith("usage: fiberfull %s" % command)
     for value in ("Fp:abc", "Fp:4", "Zp:5"):
         out = _run(["gb", path, "--field", value])
         assert out.returncode == 1, value
@@ -214,3 +264,4 @@ def test_cli_denominator_divisible_by_p_is_invalid_field(tmp_path):
         payload = json.loads(out.stdout)
         assert payload["error"]["kind"] == "invalid-field", args
         assert "-1/32003" in payload["error"]["message"]
+

@@ -102,6 +102,11 @@ def test_arithmetic_laws_random():
             assert (f + g) + h == f + (g + h)
             assert f * (g + h) == f * g + f * h
             assert f * g == g * f
+        # square and multiply gives the repeated product
+        power = ring.one()
+        for n in range(10):
+            assert f ** n == power
+            power = power * f
 
 
 def test_parse_print_round_trip_random():
