@@ -16,9 +16,13 @@ the torsion submodule and a monic annihilator in k[t]:
     basis eliminates x, and one basis per module serves every step.
 
 A module is fiber-full at (t - c) when neither the module itself nor any of
-Ext^0..Ext^r against the ambient polynomial ring has torsion there.  The
-locus polynomial is the monic lcm of all certificate annihilators; its
-nonvanishing set is exactly the set of good fibers.
+Ext^0..Ext^r against the ambient polynomial ring has torsion there.  These
+certificates do not depend on c, so they are computed once per module, the
+Ext modules read off its one resolution: a check at (t - c) evaluates their
+annihilators at c, and the locus polynomial is the monic lcm of the
+annihilators; its nonvanishing set is exactly the set of good fibers.  The
+certificates of the last presentation checked are kept (one entry), so the
+locus followed by checks at several points computes them once.
 """
 
 from dataclasses import dataclass
@@ -35,7 +39,7 @@ from .groebner import (
     weight_vector_for,
 )
 from .hilbert import zero_table
-from .modules import GradedFreeModule, PolyVector, SubmodulePresentation
+from .modules import GradedFreeModule, PolyVector, SubmodulePresentation, last_presentation
 from .resolution import betti_table, depth_and_regularity, free_resolution, specialize_resolution
 
 
@@ -278,35 +282,52 @@ def _free_at(cert, c):
     return evaluate_parameter(g, c) != g.ring.field.zero
 
 
-def fiber_full_check(pres, at=0):
-    """Decide fiber-fullness of ambient/<gens> at the prime (t - at): the
-    module and every Ext^i against the ambient ring, i = 0..r (r counting
-    positive-degree variables only), must be torsion-free there."""
-    if not pres.ring.has_parameter:
-        raise InvalidArgumentError("fiber-fullness is checked over a parameter ring")
-    return _fiber_full_report(pres, free_resolution(pres), at)
-
-
-def _fiber_full_report(pres, res, at):
-    """fiber_full_check with the Ext modules read off the resolution
-    ``res`` of the module."""
+def _certificates(pres, res):
+    """Torsion certificates of the module and of Ext^0..Ext^r against the
+    ambient ring (r counting positive-degree variables only), the Ext
+    modules read off the resolution ``res`` of the module: the pair
+    (module certificate, tuple of Ext certificates)."""
     module_cert = parameter_torsion(pres)
-    verdicts = []
+    ext_certs = []
     for i in range(pres.ring.num_positive + 1):
         cert = parameter_torsion(_ext_from_resolution(res, i))
-        cert = TorsionCertificate(i, cert.torsion_generators, cert.annihilator)
-        verdicts.append(IndexVerdict(i, _free_at(cert, at), cert))
+        ext_certs.append(TorsionCertificate(i, cert.torsion_generators, cert.annihilator))
+    return module_cert, tuple(ext_certs)
+
+
+@last_presentation
+def _module_certificates(pres):
+    """The certificates of a module over a parameter ring, from its one
+    resolution; those of the last module asked about are kept."""
+    if not pres.ring.has_parameter:
+        raise InvalidArgumentError("fiber-fullness is checked over a parameter ring")
+    return _certificates(pres, free_resolution(pres))
+
+
+def _report(certs, at):
+    """The fiber-fullness report at (t - at) read off the certificates."""
+    module_cert, ext_certs = certs
+    verdicts = tuple(IndexVerdict(c.index, _free_at(c, at), c) for c in ext_certs)
     module_free = _free_at(module_cert, at)
     overall = module_free and all(v.free_over_base for v in verdicts)
-    return FiberFullReport(at, module_free, module_cert, tuple(verdicts), overall)
+    return FiberFullReport(at, module_free, module_cert, verdicts, overall)
+
+
+def fiber_full_check(pres, at=0):
+    """Decide fiber-fullness of ambient/<gens> at the prime (t - at): the
+    module and every Ext^i against the ambient ring, i = 0..r, must be
+    torsion-free there, that is, no certificate annihilator vanishes at
+    ``at``."""
+    return _report(_module_certificates(pres), at)
 
 
 def fiber_full_locus(pres):
     """Monic polynomial g(t) whose nonvanishing locus is exactly the set of
-    primes (t - c) at which the module is fiber-full."""
-    report = fiber_full_check(pres, at=0)
+    primes (t - c) at which the module is fiber-full: the lcm of the
+    certificate annihilators."""
+    module_cert, ext_certs = _module_certificates(pres)
     g = pres.ring.one()
-    for cert in [report.module_certificate] + [v.certificate for v in report.verdicts]:
+    for cert in (module_cert,) + ext_certs:
         g = parameter_lcm(g, cert.annihilator)
     return g
 
@@ -429,15 +450,16 @@ def verify_degeneration(pres, order, window):
     omega = weight_vector_for(G)
     family = homogenize_omega(G, omega)
     res_family = free_resolution(family)
-    ff = _fiber_full_report(family, res_family, 0)
+    certs = _certificates(family, res_family)
 
     # the family is a Groebner degeneration, hence flat over k[t], and its
     # fibers at t = 1 and t = 0 are the ideal and its initial ideal; so the
     # family's resolution, specialized, resolves both ends.  The module
     # certificate confirms the flatness before it is relied on
-    if not ff.module_certificate.is_torsion_free():
+    if not certs[0].is_torsion_free():
         raise TheoremViolationError(
             "the Groebner family has torsion over the parameter line, so it is not flat")
+    ff = _report(certs, 0)
     res_ideal = specialize_resolution(res_family, 1)
     res_init = specialize_resolution(res_family, 0)
     tables_ideal = _tables_from_resolution(res_ideal, window, range(r + 1))

@@ -4,7 +4,9 @@ simplicial complex, weighted by counts of strictly negative exponent vectors
 on the face support.
 
 This is deliberately disjoint from the resolution/duality machinery so the
-two can cross-check each other.
+two can cross-check each other.  The link cohomology of every face does not
+depend on the index i or the window; it is computed once per complex, and
+that of the last presentation asked about is kept (one entry).
 """
 
 from itertools import combinations
@@ -13,6 +15,7 @@ from .errors import InvalidArgumentError
 from .groebner import is_squarefree
 from .hilbert import HilbertTable
 from .linalg import matrix_rank
+from .modules import last_presentation
 
 
 def complex_from_squarefree(pres):
@@ -115,23 +118,28 @@ def _negative_support_counts(weights, target):
     return rec(0, total)
 
 
+@last_presentation
+def _link_cohomology(pres):
+    """(face, reduced cohomology dimensions of its link) for every face of
+    the complex of a square-free monomial quotient, the face sorted."""
+    faces = complex_from_squarefree(pres)
+    field = pres.ring.field
+    return tuple((tuple(sorted(face)), reduced_cohomology_dims(link(faces, face), field))
+                 for face in faces)
+
+
 def hochster_hilbert(pres, i, window):
     """Hilbert table of the i-th local cohomology of a square-free monomial
     quotient, via links: each face contributes its reduced cohomology in
     dimension i - |face| - 1 times the count of negative exponent vectors
     supported on the face with the prescribed total degree."""
-    ring = pres.ring
-    faces = complex_from_squarefree(pres)
-    field = ring.field
-    weights = ring.weights
+    weights = pres.ring.weights
     lo, hi = window
     contributions = []
-    for face in faces:
-        lk = link(faces, face)
-        coh = reduced_cohomology_dims(lk, field)
+    for face, coh in _link_cohomology(pres):
         h = coh.get(i - len(face) - 1, 0)
         if h:
-            contributions.append((sorted(face), h))
+            contributions.append((face, h))
     dims = {}
     for nu in range(lo, hi + 1):
         total = 0

@@ -28,6 +28,10 @@ SQUAREFREE_SUITE = [
     ("x*y", "z"),
 ]
 
+# the 6-vertex triangulation of the real projective plane
+RP2_TRIANGLES = ((0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+                 (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5))
+
 
 def ring4(field=None):
     kwargs = {} if field is None else {"field": field}

@@ -27,7 +27,13 @@ from fiberfull import (
     verify_degeneration,
 )
 from fiberfull.ext import _ext_from_resolution
-from fiberfull.fiberfull import _leading_parameter_content, _torsion_annihilator, generic_point
+from fiberfull.fiberfull import (
+    _certificates,
+    _leading_parameter_content,
+    _report,
+    _torsion_annihilator,
+    generic_point,
+)
 from fiberfull.resolution import _schreyer_frame
 from fixtures import (
     hypersurface_conic,
@@ -183,6 +189,114 @@ def test_certificates_match_the_schreyer_frame(name):
         assert [v.certificate.annihilator for v in rep.verdicts] == reference
         assert [v.free_over_base for v in rep.verdicts] == [
             evaluate_parameter(g, c) != field.zero for g in reference]
+
+
+def _count_torsion_calls(monkeypatch, fail_first=False):
+    """Empty the certificate memo and count parameter_torsion calls; with
+    ``fail_first`` the first call raises."""
+    import fiberfull.fiberfull
+
+    monkeypatch.setattr(fiberfull.fiberfull._module_certificates, "entry", None)
+    real = fiberfull.fiberfull.parameter_torsion
+    calls = []
+
+    def counted(pres):
+        calls.append(pres)
+        if fail_first and len(calls) == 1:
+            raise RuntimeError("interrupted")
+        return real(pres)
+
+    monkeypatch.setattr(fiberfull.fiberfull, "parameter_torsion", counted)
+    return calls
+
+
+def test_locus_then_checks_compute_the_certificates_once(monkeypatch):
+    # the module and Ext^0..Ext^r: r + 2 certificates for the locus and all
+    # eight points
+    calls = _count_torsion_calls(monkeypatch)
+    pres = PARAMETER_FAMILIES["ideal-A"]
+    fiber_full_locus(pres)
+    for c in range(8):
+        fiber_full_check(pres, at=c)
+    assert len(calls) == pres.ring.num_positive + 2
+
+
+def test_certificate_memo_recomputes_after_another_module(monkeypatch):
+    calls = _count_torsion_calls(monkeypatch)
+    a, b = PARAMETER_FAMILIES["ideal-A"], PARAMETER_FAMILIES["ideal-B"]
+    first = fiber_full_locus(a)
+    fiber_full_locus(b)
+    n = len(calls)
+    assert fiber_full_locus(a) == first
+    assert len(calls) == n + a.ring.num_positive + 2
+
+
+def test_certificate_memo_hits_an_equal_presentation(monkeypatch):
+    calls = _count_torsion_calls(monkeypatch)
+    R = make_ring([1, 1, 1], True, field=GF(32003), names=["x", "y", "z"])
+    gens = ("(t-1)*x*y", "(t-2)*y*z", "t*x*z", "x^2*y - t*z^3")
+    pres = ideal_from_strings(R, gens)
+    first = fiber_full_check(pres, at=1)
+    n = len(calls)
+    again = ideal_from_strings(R, gens)
+    assert again is not pres and again == pres
+    assert fiber_full_check(again, at=1) == first
+    assert len(calls) == n
+
+
+def test_certificate_memo_misses_another_field(monkeypatch):
+    # the same terms and coefficients in both fields: t^2 + 1 and t + 2 are
+    # coprime over QQ, so the ideal contains x and there is no torsion; over
+    # GF(5), t^2 + 1 = (t + 2)(t - 2) and x is torsion at t = -2
+    calls = _count_torsion_calls(monkeypatch)
+    gens = ("(t^2+1)*x", "(t+2)*x")
+    over_qq = ideal_from_strings(make_ring([1, 1], True, names=["x", "y"]), gens)
+    over_f5 = ideal_from_strings(make_ring([1, 1], True, field=GF(5), names=["x", "y"]), gens)
+    assert [g.components[0].terms for g in over_qq.generators] == [
+        g.components[0].terms for g in over_f5.generators]
+    assert str(fiber_full_locus(over_qq)) == "1"
+    n = len(calls)
+    assert str(fiber_full_locus(over_f5)) == "t + 2"
+    assert len(calls) > n
+
+
+def test_certificate_memo_misses_other_names(monkeypatch):
+    calls = _count_torsion_calls(monkeypatch)
+    xy = make_ring([1, 1], True, names=["x", "y"])
+    uv = make_ring([1, 1], True, names=["u", "v"])
+    fiber_full_locus(ideal_from_strings(xy, ("t*x", "y^2")))
+    n = len(calls)
+    report = fiber_full_check(ideal_from_strings(uv, ("t*u", "v^2")), at=0)
+    assert len(calls) > n
+    assert [str(w) for w in report.module_certificate.torsion_generators] == ["u"]
+
+
+def test_certificate_memo_keeps_no_entry_after_an_error(monkeypatch):
+    import fiberfull.fiberfull
+
+    calls = _count_torsion_calls(monkeypatch, fail_first=True)
+    pres = PARAMETER_FAMILIES["ideal-B"]
+    with pytest.raises(RuntimeError):
+        fiber_full_locus(pres)
+    assert fiberfull.fiberfull._module_certificates.entry is None
+    expected = _certificates(pres, free_resolution(pres))
+    assert fiber_full_check(pres, at=2) == _report(expected, 2)
+    assert fiberfull.fiberfull._module_certificates.entry[1] == expected
+    assert len(calls) == 1 + 2 * (pres.ring.num_positive + 2)
+
+
+@pytest.mark.parametrize("name", PARAMETER_FAMILIES)
+def test_memoized_reports_match_fresh_certificates(name):
+    pres = PARAMETER_FAMILIES[name]
+    fresh = _certificates(pres, free_resolution(pres))
+    locus = pres.ring.one()
+    for cert in (fresh[0],) + fresh[1]:
+        locus = parameter_lcm(locus, cert.annihilator)
+    assert fiber_full_locus(pres) == locus
+    for c in range(8):
+        report = fiber_full_check(pres, at=c)
+        assert report == _report(fresh, c)
+        assert report.to_json_dict() == _report(fresh, c).to_json_dict()
 
 
 def _certificate_modules():
@@ -417,19 +531,17 @@ def test_verify_degeneration_rejects_bad_input():
 def test_verify_degeneration_refuses_a_family_with_torsion(monkeypatch):
     # the ends are read off the family's resolution only because a Groebner
     # family is flat; a module certificate showing torsion must stop that
-    import dataclasses
-
     import fiberfull.fiberfull
     from fiberfull import TheoremViolationError
 
-    real = fiberfull.fiberfull._fiber_full_report
+    real = fiberfull.fiberfull._certificates
 
-    def with_torsion(pres, res, at):
-        report = real(pres, res, at)
+    def with_torsion(pres, res):
+        _, ext_certs = real(pres, res)
         t = pres.ring.parameter()
         cert = fiberfull.fiberfull.TorsionCertificate(None, (pres.generators[0],), t)
-        return dataclasses.replace(report, module_certificate=cert)
+        return cert, ext_certs
 
-    monkeypatch.setattr(fiberfull.fiberfull, "_fiber_full_report", with_torsion)
+    monkeypatch.setattr(fiberfull.fiberfull, "_certificates", with_torsion)
     with pytest.raises(TheoremViolationError):
         verify_degeneration(twisted_cubic(), TermOrder.grevlex(), (-6, 2))

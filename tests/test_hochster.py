@@ -1,18 +1,22 @@
 """Simplicial route to local cohomology of square-free monomial quotients and
 its agreement with the duality route."""
 
+import itertools
+
 import pytest
 
+import fiberfull.hochster
 from fiberfull import (
     GF,
     InvalidArgumentError,
+    SubmodulePresentation,
     hochster_hilbert,
     local_cohomology_hilbert,
     make_ring,
 )
 from fiberfull.hochster import complex_from_squarefree, link, reduced_cohomology_dims
 from fiberfull.fields import QQ
-from fixtures import ideal_from_strings, ring2, squarefree_presentations
+from fixtures import RP2_TRIANGLES, ideal_from_strings, ring2, squarefree_presentations
 
 
 def test_complex_faces_and_links():
@@ -72,3 +76,47 @@ def test_oracle_agreement_over_prime_field():
             a = hochster_hilbert(pres, i, (-6, 1))
             b = local_cohomology_hilbert(pres, i, (-6, 1))
             assert a == b, (gens, i)
+
+
+def test_link_cohomology_is_computed_once_per_face(monkeypatch):
+    # every index i reads the same link cohomology; the memo slot starts
+    # empty, so the count does not depend on what ran before
+    monkeypatch.setattr(fiberfull.hochster._link_cohomology, "entry", None)
+    real = fiberfull.hochster.reduced_cohomology_dims
+    calls = []
+
+    def counting(faces, field):
+        calls.append(faces)
+        return real(faces, field)
+
+    monkeypatch.setattr(fiberfull.hochster, "reduced_cohomology_dims", counting)
+    gens, pres = squarefree_presentations(GF(32003))[10]
+    n = pres.ring.num_positive
+    tables = [hochster_hilbert(pres, i, (-6, 1)) for i in range(n + 1)]
+    assert len(calls) == len(complex_from_squarefree(pres))
+    assert tables == [local_cohomology_hilbert(pres, i, (-6, 1)) for i in range(n + 1)]
+
+
+def _rp2_face_ring(field):
+    """k[x0..x5]/I for the 6-vertex real projective plane: I is generated by
+    the ten triangles that are not faces (every edge is one)."""
+    R = make_ring([1] * 6, field=field, names=["x%d" % v for v in range(6)])
+    faces = {frozenset(t) for t in RP2_TRIANGLES}
+    gens = []
+    for t in itertools.combinations(range(6), 3):
+        if frozenset(t) not in faces:
+            gens.append(R.variable(t[0]) * R.variable(t[1]) * R.variable(t[2]))
+    return SubmodulePresentation.ideal(R, gens)
+
+
+def test_link_cohomology_entry_is_per_field():
+    # the same generators over GF(2) and over QQ must not share an entry:
+    # H^2 and H^3 in degree 0 are the reduced cohomology of RP^2, nonzero
+    # only in characteristic 2
+    over_gf2 = _rp2_face_ring(GF(2))
+    over_qq = _rp2_face_ring(QQ)
+    assert [g.components[0].terms for g in over_gf2.generators] == [
+        g.components[0].terms for g in over_qq.generators]
+    for pres, expected in ((over_gf2, 1), (over_qq, 0), (over_gf2, 1)):
+        for i in (2, 3):
+            assert hochster_hilbert(pres, i, (0, 0)).dims[0] == expected

@@ -12,6 +12,7 @@ import pytest
 from fiberfull import GF, QQ
 from fiberfull.hochster import reduced_cohomology_dims
 from fiberfull.linalg import matrix_rank
+from fixtures import RP2_TRIANGLES
 
 P = 32003
 
@@ -74,11 +75,6 @@ def test_rank_edge_shapes():
     assert matrix_rank(QQ, [[1, Fraction(1, 2)], [2, 1]]) == 1
     assert matrix_rank(QQ, [[Fraction(1, 3), 1], [1, Fraction(1, 3)]]) == 2
     assert matrix_rank(GF(3), [[1, 2], [2, 1]]) == 1
-
-
-# the 6-vertex triangulation of the real projective plane
-RP2_TRIANGLES = ((0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
-                 (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5))
 
 
 def test_projective_plane_cohomology_depends_on_characteristic():
