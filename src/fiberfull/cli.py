@@ -18,6 +18,7 @@ on any other error, a bad flag included.  Every error prints a JSON
 
 import argparse
 import json
+import re
 import sys
 
 from .errors import (
@@ -75,6 +76,19 @@ def _parse_window(text):
     if window[0] > window[1]:
         raise argparse.ArgumentTypeError("window bounds out of order in %r" % text)
     return window
+
+
+def _join_window_value(argv):
+    """argparse takes an argument such as -8:0 for a flag, since it starts
+    with '-' and is no number: join it to the --window before it, so that
+    --window -8:0 reads as --window=-8:0."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--window" and re.match(r"-\d", arg):
+            out[-1] = "--window=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 # every flag, in the order the usage line lists them
@@ -244,7 +258,7 @@ def main(argv=None):
         return 1
     parser = _build_flag_parser(command)
     try:
-        args = parser.parse_args(argv[1:])
+        args = parser.parse_args(_join_window_value(argv[1:]))
     except _UsageError as exc:
         _emit_error(exc.kind, str(exc), {"usage": parser.format_usage().strip()})
         return 1

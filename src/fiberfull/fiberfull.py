@@ -52,7 +52,7 @@ def parameter_coefficients(poly):
     ti = poly.ring.parameter_index()
     if not poly.is_parameter_only():
         raise InvalidArgumentError("%s is not a polynomial in the parameter" % poly)
-    out = [poly.ring.field.zero] * (poly.terms[0][0][ti] + 1 if poly.terms else 0)
+    out = [poly.ring.field.zero] * max((mon[ti] + 1 for mon in poly.coeffs), default=0)
     for mon, c in poly.terms:
         out[mon[ti]] = c
     return out
@@ -210,27 +210,17 @@ def parameter_torsion(pres):
 
 def _torsion_annihilator(G, torsion):
     """Monic generator of {p in k[t] : p * w in <relations> for all torsion
-    generators w}: the kernel of p -> p * (w_1, ..., w_m) modulo m slotted
-    copies of the relations, contracted to k[t].  The kernel is a reduced
-    grevlex basis, which eliminates x: its one element in k[t] is monic."""
-    ring = G.ring
-    amb = G.module
-    m = len(torsion)
-    f = amb.rank
-    stacked_module = GradedFreeModule(ring, amb.twists * m)
-    stacked = PolyVector(stacked_module, tuple(c for w in torsion for c in w.components))
-    zero = ring.zero()
-    slotted = []
-    for j in range(m):
-        for u in G.elements:
-            slot = [zero] * (f * m)
-            slot[j * f:(j + 1) * f] = u.components
-            slotted.append(PolyVector(stacked_module, tuple(slot)))
-    ann = module_kernel([stacked], (0,), ambient=stacked_module, modulo=slotted)
-    for v in ann:
-        if v.components[0].is_parameter_only():
-            return v.components[0]
-    raise InvalidArgumentError("torsion annihilator does not meet the parameter ring")
+    generators w}: the lcm over w of the contraction to k[t] of the kernel
+    of p -> p * w modulo the relations.  Each kernel is a reduced grevlex
+    basis, which eliminates x: its one element in k[t] is monic."""
+    g = G.ring.one()
+    for w in torsion:
+        ann = module_kernel([w], (0,), ambient=G.module, modulo=G.elements)
+        polys = [v.components[0] for v in ann if v.components[0].is_parameter_only()]
+        if not polys:
+            raise InvalidArgumentError("torsion annihilator does not meet the parameter ring")
+        g = parameter_lcm(g, polys[0])
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -37,19 +37,14 @@ def _tv_from_vector(v, morder):
 
 
 def _tv_to_vector(tv, module):
-    # the terms of a term vector are coerced, distinct and nonzero, so
-    # sorting them is all that ring.poly would do; polynomials are never
-    # mutated, so the empty components share one zero
+    # the terms of a term vector are coerced, distinct and nonzero, so they
+    # are a polynomial's coefficients as they stand
     ring = module.ring
-    per_comp = [[] for _ in range(module.rank)]
+    per_comp = [{} for _ in range(module.rank)]
     for _, (mon, comp), coeff in tv:
-        per_comp[comp].append((mon, coeff))
-    key = ring.canonical_key
+        per_comp[comp][mon] = coeff
     zero = ring.zero()
-    return PolyVector(module, [
-        Polynomial(ring, tuple(sorted(ts, key=lambda mc: key(mc[0]), reverse=True)))
-        if ts else zero
-        for ts in per_comp])
+    return PolyVector(module, [Polynomial(ring, cs) if cs else zero for cs in per_comp])
 
 
 def _tv_add(a, b, field):
@@ -473,7 +468,7 @@ def is_squarefree(pres):
         nonzero = [(i, c) for i, c in enumerate(g.components) if not c.is_zero()]
         if len(nonzero) != 1 or not nonzero[0][1].is_monomial():
             raise InvalidArgumentError("square-free test needs monomial generators")
-        mon = nonzero[0][1].terms[0][0]
+        mon = next(iter(nonzero[0][1].coeffs))
         if any(e > 1 for e in mon):
             return False
     return True

@@ -31,7 +31,7 @@ def complex_from_squarefree(pres):
     n = ring.num_positive
     supports = []
     for g in pres.generators:
-        mon = g.components[0].terms[0][0]
+        mon = next(iter(g.components[0].coeffs))
         supports.append(frozenset(i for i, e in enumerate(mon) if e))
     faces = set()
     for size in range(n + 1):

@@ -8,7 +8,8 @@ Grammar (whitespace-insensitive, statements end with ';'):
     order (lex | grevlex | block-x-over-t | weights:<w1>,...,<wr>) ;
     window <lo>:<hi> ;
 
-Each statement appears at most once.  Polynomials use exact integer or
+Each statement appears at most once, and the variable names are distinct,
+the parameter's ``t`` included.  Polynomials use exact integer or
 rational literals (``a/b``), ``*`` for products, ``^`` for powers, and the
 declared variable names; parentheses nest at most ``MAX_PAREN_DEPTH`` deep.
 Diagnostics carry line and column.

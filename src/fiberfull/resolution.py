@@ -17,7 +17,6 @@ from .errors import InvalidArgumentError
 from .groebner import _schreyer_level, _tv_to_vector, buchberger
 from .hilbert import monomial_quotient_dimension
 from .modules import GradedFreeModule, PolyVector
-from .rings import Polynomial, mon_mul
 
 
 class Resolution:
@@ -158,6 +157,7 @@ def _minimize_in_place(res):
                 if not entry.is_zero():
                     rows[k][r][c] = entry
     alive = [[True] * m.rank for m in res.modules]
+    zero = ring.zero()
     for lvl, A in enumerate(rows):
         for p, pivot_row in enumerate(A):
             q = min((c for c, entry in pivot_row.items() if entry.is_constant()), default=None)
@@ -174,7 +174,7 @@ def _minimize_in_place(res):
                 if a is None:
                     continue
                 for l, scale in scales:
-                    entry = _minus_product(row.get(l), a, scale)
+                    entry = row.get(l, zero).minus_product(a, scale)
                     if entry.is_zero():
                         row.pop(l, None)
                     else:
@@ -188,7 +188,6 @@ def _minimize_in_place(res):
     kept = [[i for i, a in enumerate(flags) if a] for flags in alive]
     modules = [GradedFreeModule(ring, tuple(m.twists[i] for i in kept[k]))
                for k, m in enumerate(res.modules)]
-    zero = ring.zero()
     diffs = [[PolyVector(modules[k], tuple(A[r].get(c, zero) for r in kept[k]))
               for c in kept[k + 1]]
              for k, A in enumerate(rows)]
@@ -200,22 +199,6 @@ def _minimize_in_place(res):
             diffs.pop()
     res.modules = modules
     res.diffs = diffs
-
-
-def _minus_product(entry, a, b):
-    """entry - a * b for polynomials (entry None for zero), summed in one
-    pass and sorted once."""
-    ring = a.ring
-    field = ring.field
-    mul, sub, zero = field.mul, field.sub, field.zero
-    acc = dict(entry.terms) if entry is not None else {}
-    for m1, c1 in a.terms:
-        for m2, c2 in b.terms:
-            m = mon_mul(m1, m2)
-            acc[m] = sub(acc.get(m, zero), mul(c1, c2))
-    terms = [(m, c) for m, c in acc.items() if c != zero]
-    terms.sort(key=lambda mc: ring.canonical_key(mc[0]), reverse=True)
-    return Polynomial(ring, tuple(terms))
 
 
 class BettiTable:

@@ -3,9 +3,11 @@ parameter variable, plus exact sparse polynomials.
 
 Monomials are plain exponent tuples of length ``ring.nvars``; when the ring
 has a parameter, its exponent occupies the last slot and contributes nothing
-to the degree.  Polynomial term lists are kept sorted descending under the
-ring's canonical order (grevlex on the positive-degree variables, parameter
-exponent as final tiebreaker), which makes equality structural.
+to the degree.  A polynomial is a dict from monomials to nonzero
+coefficients, so equal polynomials have equal dicts; its terms carry no
+order until it is printed, descending under the ring's canonical order
+(grevlex on the positive-degree variables, parameter exponent as final
+tiebreaker).
 """
 
 from fractions import Fraction
@@ -68,6 +70,9 @@ class GradedRing:
                 raise InvalidArgumentError("expected %d variable names, got %d" % (r, len(names)))
         if self.has_parameter:
             names = names + ("t",)
+        if len(set(names)) != len(names):
+            raise InvalidArgumentError("variable names must be distinct, the parameter t "
+                                       "included: got (%s)" % ",".join(names))
         self.names = names
         self.delta = sum(weights)
         self.nvars = r + (1 if self.has_parameter else 0)
@@ -124,22 +129,18 @@ class GradedRing:
         """Build a polynomial from an iterable or dict of (monomial, coeff)."""
         if isinstance(terms, dict):
             terms = terms.items()
+        field = self.field
         acc = {}
         for mon, c in terms:
             mon = tuple(mon)
             if len(mon) != self.nvars:
                 raise InvalidArgumentError("monomial %r has wrong length for ring" % (mon,))
-            c = self.field.coerce(c)
-            if mon in acc:
-                acc[mon] = self.field.add(acc[mon], c)
-            else:
-                acc[mon] = c
-        items = [(m, c) for m, c in acc.items() if c != self.field.zero]
-        items.sort(key=lambda mc: self.canonical_key(mc[0]), reverse=True)
-        return Polynomial(self, tuple(items))
+            c = field.coerce(c)
+            acc[mon] = field.add(acc[mon], c) if mon in acc else c
+        return Polynomial(self, {m: c for m, c in acc.items() if c != field.zero})
 
     def zero(self):
-        return Polynomial(self, ())
+        return Polynomial(self, {})
 
     def one(self):
         return self.constant(1)
@@ -148,10 +149,10 @@ class GradedRing:
         c = self.field.coerce(c)
         if c == self.field.zero:
             return self.zero()
-        return Polynomial(self, (((0,) * self.nvars, c),))
+        return Polynomial(self, {self.one_monomial(): c})
 
     def variable(self, i):
-        return Polynomial(self, ((self.var_monomial(i), self.field.one),))
+        return Polynomial(self, {self.var_monomial(i): self.field.one})
 
     def parameter(self):
         return self.variable(self.parameter_index())
@@ -187,46 +188,48 @@ def make_ring(weights, has_parameter=False, field=QQ, names=None):
 
 
 class Polynomial:
-    """Sparse polynomial with exact coefficients; terms sorted descending
-    under the ring's canonical order, no zero coefficients, no duplicates."""
+    """Sparse polynomial with exact coefficients: ``coeffs`` maps each
+    monomial to its nonzero coefficient.  The dict is never mutated after
+    construction, so polynomials may share it, and all the empty components
+    of a vector may share one zero."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "coeffs")
 
-    def __init__(self, ring, terms):
+    def __init__(self, ring, coeffs):
         self.ring = ring
-        self.terms = terms
+        self.coeffs = coeffs
+
+    @property
+    def terms(self):
+        """The (monomial, coefficient) pairs, in no particular order."""
+        return self.coeffs.items()
 
     def is_zero(self):
-        return not self.terms
+        return not self.coeffs
 
     def is_constant(self):
-        return not self.terms or (len(self.terms) == 1 and mon_is_one(self.terms[0][0]))
+        c = self.coeffs
+        return not c or (len(c) == 1 and mon_is_one(next(iter(c))))
 
     def is_monomial(self):
-        return len(self.terms) == 1
+        return len(self.coeffs) == 1
 
     def is_parameter_only(self):
         """True when no positive-degree variable occurs: a polynomial in the
         parameter alone, constants included."""
         r = len(self.ring.weights)
-        return not any(any(m[:r]) for m, _ in self.terms)
+        return not any(any(m[:r]) for m in self.coeffs)
 
     def constant_value(self):
-        if not self.terms:
-            return self.ring.field.zero
         if not self.is_constant():
             raise InvalidArgumentError("not a constant polynomial")
-        return self.terms[0][1]
+        return self.coefficient(self.ring.one_monomial())
 
     def coefficient(self, mon):
-        mon = tuple(mon)
-        for m, c in self.terms:
-            if m == mon:
-                return c
-        return self.ring.field.zero
+        return self.coeffs.get(tuple(mon), self.ring.field.zero)
 
     def degrees(self):
-        return sorted({self.ring.degree(m) for m, _ in self.terms})
+        return sorted({self.ring.degree(m) for m in self.coeffs})
 
     def is_homogeneous(self):
         return len(self.degrees()) <= 1
@@ -248,13 +251,17 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             other = self.ring.constant(other)
         self._check(other)
-        return self.ring.poly(list(self.terms) + list(other.terms))
+        field = self.ring.field
+        out = dict(self.coeffs)
+        for m, c in other.coeffs.items():
+            out[m] = field.add(out[m], c) if m in out else c
+        return Polynomial(self.ring, {m: c for m, c in out.items() if c != field.zero})
 
     __radd__ = __add__
 
     def __neg__(self):
         neg = self.ring.field.neg
-        return Polynomial(self.ring, tuple((m, neg(c)) for m, c in self.terms))
+        return Polynomial(self.ring, {m: neg(c) for m, c in self.coeffs.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -270,21 +277,15 @@ class Polynomial:
             if c == self.ring.field.zero:
                 return self.ring.zero()
             mul = self.ring.field.mul
-            return Polynomial(self.ring, tuple((m, mul(cf, c)) for m, cf in self.terms))
+            return Polynomial(self.ring, {m: mul(cf, c) for m, cf in self.coeffs.items()})
         self._check(other)
-        field = self.ring.field
-        acc = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = mon_mul(m1, m2)
-                c = field.mul(c1, c2)
-                if m in acc:
-                    acc[m] = field.add(acc[m], c)
-                else:
-                    acc[m] = c
-        return self.ring.poly(acc)
+        return _accumulate_product({}, self, other, self.ring.field.add)
 
     __rmul__ = __mul__
+
+    def minus_product(self, a, b):
+        """self - a * b for a and b in the ring of self, summed in one pass."""
+        return _accumulate_product(dict(self.coeffs), a, b, self.ring.field.sub)
 
     def __pow__(self, n):
         """Square and multiply: about 2 log2(n) products."""
@@ -306,11 +307,8 @@ class Polynomial:
         coeff = field.coerce(coeff)
         if coeff == field.zero:
             return self.ring.zero()
-        # multiplication by a single term preserves the canonical sorting
-        return Polynomial(
-            self.ring,
-            tuple((mon_mul(m, mon), field.mul(c, coeff)) for m, c in self.terms),
-        )
+        return Polynomial(self.ring, {mon_mul(m, mon): field.mul(c, coeff)
+                                      for m, c in self.coeffs.items()})
 
     def specialize_parameter(self, value, target_ring):
         """Substitute the parameter variable by a field element; the result
@@ -332,18 +330,20 @@ class Polynomial:
         return (
             isinstance(other, Polynomial)
             and self.ring == other.ring
-            and self.terms == other.terms
+            and self.coeffs == other.coeffs
         )
 
     def __hash__(self):
-        return hash((self.ring, self.terms))
+        return hash((self.ring, frozenset(self.coeffs.items())))
 
     def __str__(self):
-        if not self.terms:
+        """The terms descending under the ring's canonical order."""
+        if not self.coeffs:
             return "0"
         field = self.ring.field
         parts = []
-        for m, c in self.terms:
+        for m in sorted(self.coeffs, key=self.ring.canonical_key, reverse=True):
+            c = self.coeffs[m]
             mono = self._monomial_str(m)
             cs = field.coeff_str(c)
             if mono == "1":
@@ -372,3 +372,15 @@ class Polynomial:
 
     def __repr__(self):
         return "<poly %s>" % self
+
+
+def _accumulate_product(acc, a, b, op):
+    """The polynomial acc op a * b, for op the field's add or sub and acc a
+    fresh dict of coefficients that this call takes over."""
+    field = a.ring.field
+    mul, zero = field.mul, field.zero
+    for m1, c1 in a.coeffs.items():
+        for m2, c2 in b.coeffs.items():
+            m = mon_mul(m1, m2)
+            acc[m] = op(acc.get(m, zero), mul(c1, c2))
+    return Polynomial(a.ring, {m: c for m, c in acc.items() if c != zero})

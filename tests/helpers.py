@@ -1,10 +1,11 @@
 """Shared test utilities: random element generators and independent oracles
-(brute-force standard-monomial counting, Krull dimension by a subset scan,
-S-pair closure, degreewise exactness by exact linear algebra, division by a
-linear scan of the basis, minimization that restarts its scan after every
-pivot, colon and Ext relations as the heads of a syzygy graph, saturation
-from a reduced basis of its own, the torsion annihilator contracted to k[t]
-by a block-order basis)."""
+(a printer that sorts the terms itself, brute-force standard-monomial
+counting, Krull dimension by a subset scan, S-pair closure, degreewise
+exactness by exact linear algebra, division by a linear scan of the basis,
+minimization that restarts its scan after every pivot, colon and Ext
+relations as the heads of a syzygy graph, saturation from a reduced basis of
+its own, the torsion annihilator contracted to k[t] by a block-order
+basis)."""
 
 from fiberfull import (
     GradedFreeModule,
@@ -34,6 +35,22 @@ def rand_poly(rng, ring, max_terms=4, max_exp=3, coeff_pool=(-3, -2, -1, 1, 2, 3
     for _ in range(rng.randint(0, max_terms)):
         terms.append((rand_monomial(rng, ring, max_exp), rng.choice(coeff_pool)))
     return ring.poly(terms)
+
+
+def reference_str(p):
+    """p printed from its terms sorted descending by the ring's canonical
+    key: signs between the terms, a coefficient 1 left out."""
+    ring = p.ring
+    out = []
+    for mon, c in sorted(p.terms, key=lambda mc: ring.canonical_key(mc[0]), reverse=True):
+        cs = ring.field.coeff_str(c)
+        sign, mag = ("-", cs[1:]) if cs.startswith("-") else ("+", cs)
+        mono = "*".join(n if e == 1 else "%s^%d" % (n, e) for n, e in zip(ring.names, mon) if e)
+        out.append((sign, mag if not mono else mono if mag == "1" else mag + "*" + mono))
+    if not out:
+        return "0"
+    head = out[0][1] if out[0][0] == "+" else "-" + out[0][1]
+    return head + "".join(" %s %s" % term for term in out[1:])
 
 
 def rand_homogeneous(rng, ring, degree, tries=50):

@@ -34,6 +34,12 @@ QUARTIC = (
     "ring S vars (x,y,z,w) weights (1,1,1,1) field QQ;\n"
     "ideal I = (y*z - x*w, z^3 - y*w^2, x*z^2 - y^2*w, y^3 - x^2*z);\n"
 )
+# a weighted grading and fraction coefficients: the printed term order
+# mixes degree, grevlex and coefficient signs
+WEIGHTED_QQ = (
+    "ring S vars (x,y,z) weights (1,2,3) field QQ;\n"
+    "ideal I = (x^2*y - 1/2*x*z, y^3 - 2/3*z^2, x^4*y + 5/7*y^3 - x*y*z);\n"
+)
 
 # (test id, input, arguments, sha256 of stdout).  The two checks of
 # LOCUS_INPUT pin certificates whose Ext annihilator is not constant
@@ -52,6 +58,10 @@ GOLDEN = [
      "b851249568167ec07f0f30458b2a4e867c00f2162e31cfd873ec7401d880fab8"),
     ("fiberfull-locus-at1", LOCUS_INPUT, ["fiberfull", "--at", "1"],
      "249331bf983a076574a8c33bb3cc8809b219d33d6db9b72154331435e82d6ce0"),
+    ("gb-weighted-lex", WEIGHTED_QQ, ["gb", "--order", "lex"],
+     "4cd921546563214fee6fe2b507d377a8dd4e19d617b01cc05b07c30dcce7978b"),
+    ("resolve-weighted", WEIGHTED_QQ, ["resolve"],
+     "17e4dbd8896516a0daa7a8deec2595fe98d54f820a3accdc3b1b35ea9b7a3eb7"),
 ]
 
 

@@ -66,6 +66,17 @@ def test_invalid_grading_surfaces_at_parse_time():
         parse_input("ring S vars (x) weights (0) field QQ; ideal I = (x);")
 
 
+def test_repeated_variable_names_are_rejected():
+    # a repeated name was read as its last occurrence, and a variable named
+    # t clashed with the parameter
+    for text in ("ring S vars (x,x) weights (1,2) field QQ;\nideal I = (x);\n",
+                 "ring R vars (x,t) weights (1,1) field QQ param t;\nideal I = (x);\n"):
+        with pytest.raises(ParseError) as err:
+            parse_input(text)
+        assert "distinct" in err.value.message, text
+        assert err.value.line == 1, text
+
+
 def test_non_prime_field_rejected():
     with pytest.raises(ParseError):
         parse_input("ring S vars (x) weights (1) field Fp 32004; ideal I = (x);")
@@ -212,11 +223,32 @@ def test_cli_json_out_writes_identical_bytes(tmp_path):
     assert target.read_bytes() == out.stdout
 
 
+def test_cli_degeneration_of_a_variable_named_t_is_refused(tmp_path):
+    # the family adjoins the parameter t, which would repeat the name
+    path = _write(tmp_path, "st.ring",
+                  "ring S vars (s,t) weights (1,1) field QQ;\nideal I = (s^2 - t^2, s*t);\n")
+    assert _run(["gb", path]).returncode == 0
+    out = _run(["cv-verify", path])
+    assert out.returncode == 1, out.stdout
+    assert json.loads(out.stdout)["error"]["kind"] == "invalid-argument"
+
+
+def test_cli_window_takes_a_negative_value_after_a_space(tmp_path):
+    path = _write(tmp_path, "conic.ring",
+                  "ring S vars (x,y,z) weights (1,1,1) field QQ;\nideal I = (x*z - y^2);\n")
+    for args in (["hilbert", path], ["localcohom", path, "--i", "2"], ["cv-verify", path]):
+        joined = _run(args + ["--window=-8:0"])
+        spaced = _run(args + ["--window", "-8:0"])
+        assert joined.returncode == 0, joined.stdout
+        assert spaced.stdout == joined.stdout, args
+
+
 def test_cli_flag_errors_are_usage_errors(tmp_path, capsys):
     path = _write(tmp_path, "conic.ring",
                   "ring S vars (x,y,z) weights (1,1,1) field QQ;\nideal I = (x*z - y^2);\n")
     for args in (["gb", path, "--bogus"], ["localcohom", path], ["gb"], ["gb", path, "--threads", "2"],
-                 ["hilbert", path, "--window", "5:1"], ["hilbert", path, "--window", "a:b"]):
+                 ["hilbert", path, "--window", "5:1"], ["hilbert", path, "--window", "a:b"],
+                 ["hilbert", path, "--window", "--csv"]):
         out = _run(args)
         assert out.returncode == 1, args
         payload = json.loads(out.stdout)

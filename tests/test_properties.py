@@ -1,5 +1,15 @@
 """Property tests on random input.
 
+  * the storage of a polynomial as a map from monomials to coefficients:
+    equality, hashing and printing ignore the order the terms came in, the
+    printed order is the ring's canonical one, and the arithmetic obeys the
+    ring laws and the fused update self - a * b, on term lists with
+    repeated monomials and cancelling coefficients over QQ and GF(32003)
+    in a weighted ring with a parameter;
+  * every resolution route: the one-sweep minimization against the
+    restarting reference, d o d = 0 and degreewise exactness on homogeneous
+    ideals in three variables over GF(32003), and exactness of the
+    resolution of a planted diagonal module specialized off its locus;
   * colon against its syzygy-graph reference and the two containments that
     define (U : h), on homogeneous ideals in three variables over GF(32003);
   * the paper's statements on planted diagonal modules over
@@ -16,31 +26,80 @@ from fiberfull import (
     GF,
     GradedFreeModule,
     PolyVector,
+    QQ,
     SubmodulePresentation,
     buchberger,
     colon,
     evaluate_parameter,
     fiber_full_check,
     fiber_full_locus,
+    free_resolution,
     make_ring,
     monomials_of_degree,
 )
-from helpers import graph_colon, vector_in_submodule
+from fiberfull.resolution import _schreyer_frame, specialize_resolution
+from helpers import (
+    graph_colon,
+    reference_str,
+    resolution_exact_in_degree,
+    restart_minimize,
+    vector_in_submodule,
+)
 
 R = make_ring([1, 1, 1], field=GF(32003), names=["x", "y", "z"])
 COEFFS = st.integers(min_value=1, max_value=32002)
 
 
 @st.composite
-def homogeneous_polys(draw, max_degree=3):
-    degree = draw(st.integers(min_value=1, max_value=max_degree))
+def homogeneous_polys(draw, max_degree=3, min_degree=1, max_terms=3):
+    degree = draw(st.integers(min_value=min_degree, max_value=max_degree))
     mons = monomials_of_degree(R, degree)
-    terms = draw(st.lists(st.tuples(st.sampled_from(mons), COEFFS), min_size=1, max_size=3))
+    terms = draw(st.lists(st.tuples(st.sampled_from(mons), COEFFS), min_size=1,
+                          max_size=max_terms))
     p = R.poly(terms)
     return p if not p.is_zero() else R.poly([(mons[0], 1)])
 
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=100)
+
+WEIGHTED = [make_ring([1, 2, 3], True, field=field, names=["x", "y", "z"])
+            for field in (QQ, GF(32003))]
+# few monomials, so that a term list repeats them
+POOL = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1), (2, 1, 0, 0),
+        (1, 0, 1, 0), (0, 2, 0, 2), (3, 0, 0, 1), (1, 1, 1, 0), (0, 0, 0, 2)]
+
+
+@st.composite
+def term_lists(draw, ring):
+    """(monomial, coefficient) pairs from POOL, some of them followed by
+    their negatives so that the coefficients cancel."""
+    coeffs = (st.fractions(min_value=-4, max_value=4, max_denominator=5)
+              if ring.field == QQ else st.integers(min_value=0, max_value=32002))
+    terms = draw(st.lists(st.tuples(st.sampled_from(POOL), coeffs), max_size=6))
+    if terms:
+        terms += [(m, -c) for m, c in draw(st.lists(st.sampled_from(terms), max_size=3))]
+    return draw(st.permutations(terms))
+
+
+@st.composite
+def weighted_polys(draw, count):
+    ring = draw(st.sampled_from(WEIGHTED))
+    return ring, [draw(term_lists(ring)) for _ in range(count)]
+
+
+@PROPERTY_SETTINGS
+@given(weighted_polys(3))
+def test_polynomial_terms_carry_no_order(drawn):
+    ring, (ta, tb, tc) = drawn
+    a, b, c = (ring.poly(terms) for terms in (ta, tb, tc))
+    backwards = ring.poly(list(reversed(ta)))
+    assert backwards == a and hash(backwards) == hash(a) and str(backwards) == str(a)
+    fused = a.minus_product(b, c)
+    assert fused == a - b * c
+    for p in (a, b * c, fused):
+        assert str(p) == reference_str(p)
+    assert (a + b) - b == a
+    assert a * (b + c) == a * b + a * c
 
 
 @PROPERTY_SETTINGS
@@ -54,6 +113,23 @@ def test_colon_properties(gens, h):
     assert all(vector_in_submodule(u, GC) for u in U.generators)
     GU = buchberger(U)
     assert all(vector_in_submodule(v.mul_poly(h), GU) for v in C.generators)
+
+
+# dense quadrics: most of their Schreyer frames have unit entries to prune
+@PROPERTY_SETTINGS
+@given(st.lists(homogeneous_polys(2, min_degree=2, max_terms=6), min_size=2, max_size=4))
+def test_resolution_routes(gens):
+    U = SubmodulePresentation.ideal(R, gens)
+    res = free_resolution(U)
+    # the restarting reference updates with plain a - b * c
+    reference = _schreyer_frame(U)
+    restart_minimize(reference)
+    assert res.modules == reference.modules
+    assert res.diffs == reference.diffs
+    assert res.check_complex()
+    for k in range(1, res.length + 1):
+        for nu in range(5):
+            assert resolution_exact_in_degree(res, k, nu), (k, nu)
 
 
 Rt = make_ring([1, 1], True, field=GF(32003), names=["x", "y"])
@@ -92,3 +168,18 @@ def test_fiber_full_locus_statements(M):
         if root:
             certs = [report.module_certificate] + [v.certificate for v in report.verdicts]
             assert any(evaluate_parameter(cert.annihilator, c) == zero for cert in certs), c
+
+
+@PROPERTY_SETTINGS
+@given(planted_diagonal())
+def test_specialized_resolution_is_exact_off_the_locus(M):
+    res = free_resolution(M)
+    g = fiber_full_locus(M)
+    for c in POINTS:
+        if evaluate_parameter(g, c) == Rt.field.zero:
+            continue
+        spec = specialize_resolution(res, c)
+        assert spec.check_complex(), c
+        for k in range(1, spec.length + 1):
+            for nu in range(5):
+                assert resolution_exact_in_degree(spec, k, nu), (c, k, nu)
