@@ -23,12 +23,9 @@ from .fiberfull import (
     DegenerationReport,
     FiberFullReport,
     TorsionCertificate,
-    evaluate_parameter,
     fiber_full_check,
     fiber_full_locus,
     fiber_hilbert_compare,
-    parameter_lcm,
-    parameter_monic,
     parameter_torsion,
     specialize_presentation,
     verify_degeneration,
@@ -60,7 +57,7 @@ from .resolution import (
     free_resolution,
     krull_dimension,
 )
-from .rings import GradedRing, Polynomial, make_ring
+from .rings import GradedRing, Polynomial, evaluate_parameter, make_ring, parameter_lcm, parameter_monic
 
 __version__ = "0.1.0"
 

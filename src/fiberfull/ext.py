@@ -91,18 +91,18 @@ def local_cohomology_hilbert(pres, i, window):
         raise IndexOutOfRangeError("negative cohomological index")
     if i > r:
         raise IndexOutOfRangeError("cohomological index %d exceeds the variable count %d" % (i, r))
-    return _tables_from_resolution(free_resolution(pres), window, (i,))[0]
+    return _tables_from_resolution(free_resolution(pres), window)[i]
 
 
 def local_cohomology_tables(pres, window):
     """All tables H^0..H^r at once, sharing one resolution."""
-    r = _field_base_rank(pres.ring)
-    return _tables_from_resolution(free_resolution(pres), window, range(r + 1))
+    _field_base_rank(pres.ring)
+    return _tables_from_resolution(free_resolution(pres), window)
 
 
-def _tables_from_resolution(res, window, indices):
-    """Tables of H^i for the given indices, each the base dual of
-    Ext^{r-i} read off the one resolution ``res``.
+def _tables_from_resolution(res, window):
+    """Tables of H^0..H^r, each the base dual of Ext^{r-i} read off the
+    one resolution ``res``.
 
     Only dimensions are needed, so no Ext module is presented.  With Q_j
     the Hilbert function of the cokernel of the transposed d_j (Q_0 that of
@@ -116,7 +116,7 @@ def _tables_from_resolution(res, window, indices):
         res.modules[j].dual(), _dual_columns(res, j) if j else []), inner).dims
         for j in range(n + 1)]
     out = []
-    for i in indices:
+    for i in range(r + 1):
         j = r - i
         dims = coker[n] if j == n else {}
         if j < n:

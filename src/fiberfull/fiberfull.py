@@ -35,112 +35,14 @@ from .groebner import (
     initial_module,
     is_squarefree,
     module_kernel,
+    normal_form,
     saturate,
     weight_vector_for,
 )
 from .hilbert import zero_table
 from .modules import GradedFreeModule, PolyVector, SubmodulePresentation, last_presentation
 from .resolution import betti_table, depth_and_regularity, free_resolution, specialize_resolution
-
-
-# ---------------------------------------------------------------------------
-# univariate helpers on polynomials in the parameter
-
-
-def parameter_coefficients(poly):
-    """Coefficient list (ascending) of a polynomial in the parameter alone."""
-    ti = poly.ring.parameter_index()
-    if not poly.is_parameter_only():
-        raise InvalidArgumentError("%s is not a polynomial in the parameter" % poly)
-    out = [poly.ring.field.zero] * max((mon[ti] + 1 for mon in poly.coeffs), default=0)
-    for mon, c in poly.terms:
-        out[mon[ti]] = c
-    return out
-
-
-def parameter_polynomial(ring, coeffs):
-    ti = ring.parameter_index()
-    terms = []
-    for k, c in enumerate(coeffs):
-        mon = [0] * ring.nvars
-        mon[ti] = k
-        terms.append((tuple(mon), c))
-    return ring.poly(terms)
-
-
-def _c_strip(field, coeffs):
-    while coeffs and coeffs[-1] == field.zero:
-        coeffs.pop()
-    return coeffs
-
-
-def _c_monic(field, coeffs):
-    coeffs = _c_strip(field, list(coeffs))
-    if not coeffs:
-        return coeffs
-    inv = field.inv(coeffs[-1])
-    return [field.mul(c, inv) for c in coeffs]
-
-
-def _c_divmod(field, a, b):
-    """Quotient and remainder of a by a stripped nonzero b."""
-    a = _c_strip(field, list(a))
-    out = [field.zero] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b):
-        shift = len(a) - len(b)
-        factor = field.div(a[-1], b[-1])
-        out[shift] = factor
-        for i, c in enumerate(b):
-            a[i + shift] = field.sub(a[i + shift], field.mul(factor, c))
-        a = _c_strip(field, a)
-    return out, a
-
-
-def _c_gcd(field, a, b):
-    a = _c_strip(field, list(a))
-    b = _c_strip(field, list(b))
-    while b:
-        a, b = b, _c_divmod(field, a, b)[1]
-    return _c_monic(field, a)
-
-
-def _c_mul(field, a, b):
-    if not a or not b:
-        return []
-    out = [field.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = field.add(out[i + j], field.mul(x, y))
-    return out
-
-
-def _c_lcm(field, a, b):
-    """Monic lcm of two nonzero coefficient lists."""
-    return _c_monic(field, _c_divmod(field, _c_mul(field, a, b), _c_gcd(field, a, b))[0])
-
-
-def parameter_lcm(f, g):
-    """Monic lcm of two polynomials in the parameter."""
-    a = parameter_coefficients(f)
-    b = parameter_coefficients(g)
-    if not a or not b:
-        raise InvalidArgumentError("lcm with zero")
-    return parameter_polynomial(f.ring, _c_lcm(f.ring.field, a, b))
-
-
-def parameter_monic(f):
-    return parameter_polynomial(f.ring, _c_monic(f.ring.field, parameter_coefficients(f)))
-
-
-def evaluate_parameter(f, c):
-    """f(c) for f a polynomial in the parameter."""
-    field = f.ring.field
-    coeffs = parameter_coefficients(f)
-    c = field.coerce(c)
-    acc = field.zero
-    for coeff in reversed(coeffs):
-        acc = field.add(field.mul(acc, c), coeff)
-    return acc
+from .rings import Polynomial, evaluate_parameter, parameter_lcm
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +70,15 @@ def _leading_parameter_content(G):
     """lcm over the basis of the parameter coefficient of each element's
     leading positive-degree monomial (the order ranks x above t)."""
     ring = G.ring
-    field = ring.field
     r = ring.num_positive
-    h = [field.one]
+    xzero = (0,) * r
+    h = ring.one()
     for v, (lead_mon, comp) in zip(G.elements, G.leads):
         xpart = lead_mon[:r]
-        coeffs = {mon[r]: c for mon, c in v.components[comp].terms if mon[:r] == xpart}
-        h = _c_lcm(field, h, [coeffs.get(k, field.zero) for k in range(max(coeffs) + 1)])
-    return parameter_polynomial(ring, h)
+        content = {xzero + mon[r:]: c for mon, c in v.components[comp].terms
+                   if mon[:r] == xpart}
+        h = parameter_lcm(h, Polynomial(ring, content))
+    return h
 
 
 def parameter_torsion(pres):
@@ -199,7 +102,7 @@ def parameter_torsion(pres):
     sat = saturate(SubmodulePresentation(pres.ambient, G.elements), h)
     torsion = []
     for v in sat.generators:
-        nf = G.normal_form(v)
+        nf = normal_form(v, G)
         if not nf.is_zero():
             torsion.append(nf)
     if not torsion:
@@ -338,7 +241,7 @@ def generic_point(pres):
     roots, so the candidates 0..deg g suffice (fewer in a small field)."""
     g = fiber_full_locus(pres)
     field = pres.ring.field
-    candidates = len(parameter_coefficients(g))
+    candidates = max(mon[-1] for mon in g.coeffs) + 1
     if field.p is not None:
         candidates = min(candidates, field.p)
     for c in range(candidates):
@@ -452,8 +355,8 @@ def verify_degeneration(pres, order, window):
     ff = _report(certs, 0)
     res_ideal = specialize_resolution(res_family, 1)
     res_init = specialize_resolution(res_family, 0)
-    tables_ideal = _tables_from_resolution(res_ideal, window, range(r + 1))
-    tables_init = _tables_from_resolution(res_init, window, range(r + 1))
+    tables_ideal = _tables_from_resolution(res_ideal, window)
+    tables_init = _tables_from_resolution(res_init, window)
     equal = all(a == b for a, b in zip(tables_ideal, tables_init))
 
     bt_ideal = betti_table(res_ideal)

@@ -62,9 +62,6 @@ class RationalField:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a)
 
-    def div(self, a, b):
-        return Fraction(a) / b
-
     def pow(self, a, n):
         return Fraction(a) ** n
 
@@ -116,9 +113,6 @@ class PrimeField:
         if a == 0:
             raise ZeroDivisionError("inverse of zero in F_%d" % self.p)
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def pow(self, a, n):
         return pow(a, n, self.p)

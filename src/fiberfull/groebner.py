@@ -162,7 +162,7 @@ def _spair_data(ring, gi, gj):
     return lcm, sugar
 
 
-def gb_engine(tvs, morder, field, ring, twists, rank):
+def gb_engine(tvs, morder, ring, twists):
     """Compute a reduced marked basis from raw term vectors.
 
     Pair selection is by sugar degree, then lcm key (normal strategy).  The
@@ -171,6 +171,9 @@ def gb_engine(tvs, morder, field, ring, twists, rank):
     grows with it, so pairs, chain tests and reductions scan only the
     elements whose lead shares the component in question.
     """
+    field = ring.field
+    rank = len(twists)
+
     def mark(tv):
         b = _mark(tv, field)
         b.sugar = max(ring.degree(m) + twists[c] for _, (m, c), _ in b.tv)
@@ -278,9 +281,6 @@ class GroebnerBasis:
     def __len__(self):
         return len(self.elements)
 
-    def normal_form(self, v):
-        return normal_form(v, self)
-
     def __repr__(self):
         return "GroebnerBasis(%d elements, %s)" % (len(self.elements), self.ring_order.describe())
 
@@ -292,7 +292,7 @@ def buchberger(pres, order=None):
     morder = TOPOrder(ring, order)
     twists = pres.ambient.twists
     tvs = [_tv_from_vector(v, morder) for v in pres.generators]
-    marked = gb_engine(tvs, morder, ring.field, ring, twists, pres.ambient.rank)
+    marked = gb_engine(tvs, morder, ring, twists)
     return GroebnerBasis(pres.ambient, order, morder, marked)
 
 
@@ -321,13 +321,14 @@ def initial_module(G):
 # Schreyer syzygies
 
 
-def _schreyer_level(marked, morder, field, ring, parent_twists):
+def _schreyer_level(marked, morder, ring, parent_twists):
     """Syzygies of a marked basis living in a module with the given twists.
 
     Returns (marked syzygies, their order, degrees of the basis elements,
     degrees of the syzygies); by Schreyer's theorem the syzygies are a
     Groebner basis under the induced order with leading terms (lcm/lm_i) e_i.
     """
+    field = ring.field
     leads = [b.lead_mm for b in marked]
     element_degrees = tuple(
         ring.degree(m) + parent_twists[c] for (m, c) in leads
@@ -381,7 +382,7 @@ def syzygies(G):
     the induced twists (degree of each basis element)."""
     ring = G.ring
     level, _, element_degrees, _ = _schreyer_level(
-        G.marked, G.module_order, ring.field, ring, G.module.twists)
+        G.marked, G.module_order, ring, G.module.twists)
     ambient = GradedFreeModule(ring, element_degrees)
     # Schreyer-key term vectors sort differently from canonical form;
     # conversion re-sorts per component
@@ -415,7 +416,7 @@ def module_kernel(vectors, source_twists, ambient, modulo=()):
         tvs.append(_tv_from_vector(PolyVector(combined, tuple(comps)), morder))
     for u in modulo:
         tvs.append(_tv_from_vector(PolyVector(combined, u.components + zeros), morder))
-    marked = gb_engine(tvs, morder, ring.field, ring, combined.twists, combined.rank)
+    marked = gb_engine(tvs, morder, ring, combined.twists)
     source = GradedFreeModule(ring, tuple(source_twists))
     return [_tv_to_vector([(k, (m, c - f), cf) for k, (m, c), cf in b.tv], source)
             for b in marked if b.lead_mm[1] >= f]

@@ -138,16 +138,6 @@ class TOPOrder:
     def shift(self, mon):
         return (*self.term_order.key(self.ring, mon), 0)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, TOPOrder)
-            and self.ring == other.ring
-            and self.term_order == other.term_order
-        )
-
-    def __hash__(self):
-        return hash(("TOP", self.ring, self.term_order))
-
 
 class SchreyerOrder:
     """Order induced by the leading terms of a marked basis living in a

@@ -31,7 +31,7 @@ MAX_PAREN_DEPTH = 100
 
 @dataclass(frozen=True)
 class Token:
-    kind: str  # NAME, INT, STRING, punctuation literal, EOF
+    kind: str  # NAME, INT, punctuation literal, EOF
     text: str
     line: int
     col: int
@@ -73,18 +73,6 @@ def tokenize(text):
             tokens.append(Token("NAME", text[i:j], line, start_col))
             col += j - i
             i = j
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                if text[j] == "\n":
-                    raise ParseError("unterminated string", line, start_col)
-                j += 1
-            if j >= n:
-                raise ParseError("unterminated string", line, start_col)
-            tokens.append(Token("STRING", text[i + 1:j], line, start_col))
-            col += j - i + 1
-            i = j + 1
             continue
         if ch in _PUNCT:
             tokens.append(Token(ch, ch, line, start_col))

@@ -61,7 +61,7 @@ class Resolution:
         return "Resolution(ranks=%s, minimal=%s)" % (self.ranks(), self.minimal)
 
 
-def _sorted_level(marked, twists, ring):
+def _sorted_level(marked, twists):
     """Sort marked elements (and their degrees) by descending lex on the
     leading monomial, component ascending on ties."""
     order = sorted(
@@ -112,7 +112,7 @@ def _schreyer_frame(pres):
 
     morder = G.module_order
     twists = tuple(v.degree() for v in G.elements)
-    marked, twists = _sorted_level(G.marked, twists, ring)
+    marked, twists = _sorted_level(G.marked, twists)
 
     modules = [F0]
     diffs = []
@@ -123,11 +123,11 @@ def _schreyer_frame(pres):
         modules.append(level_module)
         diffs.append(cols)
         syz_marked, morder, _, syz_twists = _schreyer_level(
-            marked, morder, ring.field, ring, parent_twists)
+            marked, morder, ring, parent_twists)
         if not syz_marked:
             break
         parent_twists = twists
-        marked, twists = _sorted_level(syz_marked, syz_twists, ring)
+        marked, twists = _sorted_level(syz_marked, syz_twists)
 
     return Resolution(modules, diffs, False)
 

@@ -7,11 +7,13 @@ to the degree.  A polynomial is a dict from monomials to nonzero
 coefficients, so equal polynomials have equal dicts; its terms carry no
 order until it is printed, descending under the ring's canonical order
 (grevlex on the positive-degree variables, parameter exponent as final
-tiebreaker).
+tiebreaker).  All polynomial arithmetic lives here, that of k[t] included:
+the monic associate, the monic lcm and evaluation of a polynomial in the
+parameter alone.
 """
 
 from fractions import Fraction
-from operator import add, le, mul, neg, sub
+from operator import add, itemgetter, le, mul, neg, sub
 
 from .errors import InvalidArgumentError, InvalidGradingError, RingMismatchError
 from .fields import QQ
@@ -384,3 +386,77 @@ def _accumulate_product(acc, a, b, op):
             m = mon_mul(m1, m2)
             acc[m] = op(acc.get(m, zero), mul(c1, c2))
     return Polynomial(a.ring, {m: c for m, c in acc.items() if c != zero})
+
+
+# ---------- polynomials in the parameter alone: k[t] ----------
+# the parameter exponent is the last slot of a monomial, the only nonzero
+# one in a polynomial in the parameter alone
+
+
+def _check_parameter_only(f):
+    f.ring.parameter_index()  # raises for a ring without a parameter
+    if not f.is_parameter_only():
+        raise InvalidArgumentError("%s is not a polynomial in the parameter" % f)
+
+
+def _parameter_lead(f):
+    """The monomial of highest degree in t of a nonzero f in k[t], and its
+    coefficient."""
+    mon = max(f.coeffs, key=itemgetter(-1))
+    return mon, f.coeffs[mon]
+
+
+def _monic(f):
+    if not f.coeffs:
+        return f
+    c = _parameter_lead(f)[1]
+    return f if c == f.ring.field.one else f * f.ring.field.inv(c)
+
+
+def _parameter_divmod(a, b):
+    """Quotient and remainder of a by a nonzero b in k[t]."""
+    field = a.ring.field
+    mb, lb = _parameter_lead(b)
+    inv = field.inv(lb)
+    quotient = {}
+    while a.coeffs:
+        ma, la = _parameter_lead(a)
+        if ma[-1] < mb[-1]:
+            break
+        mon = mon_div(ma, mb)
+        quotient[mon] = c = field.mul(la, inv)
+        a = a.minus_product(Polynomial(a.ring, {mon: c}), b)
+    return Polynomial(a.ring, quotient), a
+
+
+def parameter_lcm(f, g):
+    """Monic lcm of two nonzero polynomials in the parameter."""
+    _check_parameter_only(f)
+    _check_parameter_only(g)
+    if f.is_zero() or g.is_zero():
+        raise InvalidArgumentError("lcm with zero")
+    if f.is_constant():
+        return _monic(g)
+    if g.is_constant():
+        return _monic(f)
+    a, b = f, g
+    while b.coeffs:
+        a, b = b, _parameter_divmod(a, b)[1]
+    return _monic(f * _parameter_divmod(g, a)[0])
+
+
+def parameter_monic(f):
+    """The monic associate of a polynomial in the parameter; 0 stays 0."""
+    _check_parameter_only(f)
+    return _monic(f)
+
+
+def evaluate_parameter(f, c):
+    """f(c) for f a polynomial in the parameter, c coerced into the field."""
+    _check_parameter_only(f)
+    field = f.ring.field
+    c = field.coerce(c)
+    acc = field.zero
+    for mon, coeff in f.coeffs.items():
+        acc = field.add(acc, field.mul(coeff, field.pow(c, mon[-1])))
+    return acc

@@ -361,10 +361,11 @@ def test_torsion_annihilator_needs_torsion():
 def test_parameter_torsion_computes_one_basis(monkeypatch):
     import fiberfull.fiberfull
     import fiberfull.groebner
+    import fiberfull.rings
 
     real = {"buchberger": fiberfull.groebner.buchberger,
             "contract_to_parameter": fiberfull.groebner.contract_to_parameter,
-            "parameter_monic": fiberfull.fiberfull.parameter_monic}
+            "parameter_monic": fiberfull.rings.parameter_monic}
     calls = dict.fromkeys(real, 0)
 
     def counting(name):
@@ -373,8 +374,9 @@ def test_parameter_torsion_computes_one_basis(monkeypatch):
             return real[name](*args, **kwargs)
         return counted
 
-    # patched in both modules, so a call through either name is counted
-    for module in (fiberfull.fiberfull, fiberfull.groebner):
+    # patched in every module that defines or imports one of them, so a
+    # call through any name is counted
+    for module in (fiberfull.fiberfull, fiberfull.groebner, fiberfull.rings):
         for name in real:
             monkeypatch.setattr(module, name, counting(name), raising=False)
     pres = PARAMETER_FAMILIES["ideal-A"]

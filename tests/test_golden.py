@@ -29,6 +29,13 @@ LOCUS_INPUT = (
     "ring R vars (x,y,z) weights (1,1,1) field Fp 32003 param t;\n"
     "ideal M = (t*x*y, t*x*z - x*z, y^2 - t*z^2);\n"
 )
+# over QQ the Euclid steps of the k[t] lcm divide by leading coefficients
+# such as 1/6: the module certificate and the Ext^3 certificate both carry
+# the locus polynomial t^2 - 1/6*t - 1/6
+LOCUS_QQ = (
+    "ring R vars (x,y,z) weights (1,1,1) field QQ param t;\n"
+    "ideal M = ((2*t - 1)*x*y, (3*t + 2)*x*z - x*z, y^2 - 1/2*t*z^2);\n"
+)
 # the rational quartic curve, which is not Cohen-Macaulay
 QUARTIC = (
     "ring S vars (x,y,z,w) weights (1,1,1,1) field QQ;\n"
@@ -58,6 +65,10 @@ GOLDEN = [
      "b851249568167ec07f0f30458b2a4e867c00f2162e31cfd873ec7401d880fab8"),
     ("fiberfull-locus-at1", LOCUS_INPUT, ["fiberfull", "--at", "1"],
      "249331bf983a076574a8c33bb3cc8809b219d33d6db9b72154331435e82d6ce0"),
+    ("locus-qq", LOCUS_QQ, ["locus"],
+     "ef4e8fb06059cd4fe67bcb995de887a48679c66467f02e688d73309900370dde"),
+    ("fiberfull-locus-qq-at0", LOCUS_QQ, ["fiberfull", "--at", "0"],
+     "78b9067b27bb1d7d0add6ba99f55096f5adf02ef5e3c3a733a2034f9c1dbf48f"),
     ("gb-weighted-lex", WEIGHTED_QQ, ["gb", "--order", "lex"],
      "4cd921546563214fee6fe2b507d377a8dd4e19d617b01cc05b07c30dcce7978b"),
     ("resolve-weighted", WEIGHTED_QQ, ["resolve"],

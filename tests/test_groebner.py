@@ -300,8 +300,8 @@ def test_lead_index_division_matches_linear_scan(monkeypatch):
     calls = []
     engine = groebner.gb_engine
 
-    def recording_engine(tvs, morder, field, ring, twists, rank):
-        marked = engine(tvs, morder, field, ring, twists, rank)
+    def recording_engine(tvs, morder, ring, twists):
+        marked = engine(tvs, morder, ring, twists)
         calls.append((tvs, morder, twists, marked))
         return marked
 

@@ -29,12 +29,13 @@ def test_parse_full_directives():
     assert spec.order is not None and spec.order.describe() == "grevlex"
     assert spec.window == (-8, 4)
     # command and output statements were accepted and then ignored; they
-    # are no longer part of the grammar
-    for stmt in ("command cv-verify;", 'output "report.json";'):
+    # are no longer part of the grammar, and a quote is no character of it
+    for stmt, message, col in (("command cv-verify;", "unknown statement", 1),
+                               ('output "report.json";', "unexpected character '\"'", 8)):
         with pytest.raises(ParseError) as err:
             parse_input(text + stmt + "\n")
-        assert "unknown statement" in err.value.message
-        assert (err.value.line, err.value.col) == (text.count("\n") + 1, 1)
+        assert message in err.value.message
+        assert (err.value.line, err.value.col) == (text.count("\n") + 1, col)
 
 
 def test_repeated_statements_are_rejected():
@@ -212,6 +213,20 @@ def test_cli_parse_error_is_machine_readable(tmp_path):
         payload = json.loads(out.stdout)
         assert payload["error"]["kind"] == "syntax", name
         assert "line" in payload["error"] and "col" in payload["error"], name
+
+
+def test_cli_quote_is_an_unexpected_character(tmp_path):
+    # no grammar rule takes a quoted string, so the quote itself is the
+    # error, not the name inside it
+    head = "ring R vars (x,y,z) weights (1,1,1) field QQ;\n"
+    for name, text, col in (("quoted", 'ideal I = ("x");\n', 12),
+                            ("unterminated", 'ideal I = (y, "x);\n', 15)):
+        out = _run(["gb", _write(tmp_path, name + ".ring", head + text)])
+        assert out.returncode == 1, name
+        error = json.loads(out.stdout)["error"]
+        assert error["kind"] == "syntax", name
+        assert error["message"] == "unexpected character '\"'", name
+        assert (error["line"], error["col"]) == (2, col), name
 
 
 def test_cli_json_out_writes_identical_bytes(tmp_path):

@@ -6,6 +6,9 @@
     ring laws and the fused update self - a * b, on term lists with
     repeated monomials and cancelling coefficients over QQ and GF(32003)
     in a weighted ring with a parameter;
+  * the k[t] arithmetic (monic lcm, monic associate, evaluation) against
+    sympy over QQ and GF(32003), on polynomials in t of degree up to six
+    with constant and repeated factors, and its refusal of input in x;
   * every resolution route: the one-sweep minimization against the
     restarting reference, d o d = 0 and degreewise exactness on homogeneous
     ideals in three variables over GF(32003), and exactness of the
@@ -14,17 +17,24 @@
     define (U : h), on homogeneous ideals in three variables over GF(32003);
   * the paper's statements on planted diagonal modules over
     GF(32003)[t][x,y]: the fiber-full locus is dense, so its polynomial g is
-    never 0; the check at (t - c) passes exactly when g(c) != 0; and at each
-    root of g some torsion certificate vanishes.
+    never 0; the check at (t - c) passes exactly when g(c) != 0; at each
+    root of g some torsion certificate vanishes; and at every c with
+    g(c) != 0 each local cohomology table of the fiber equals that of the
+    generic fiber.
 
 Examples are derandomized and nothing is stored between runs."""
 
+from fractions import Fraction
+
+import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fiberfull import (
     GF,
     GradedFreeModule,
+    InvalidArgumentError,
     PolyVector,
     QQ,
     SubmodulePresentation,
@@ -33,9 +43,12 @@ from fiberfull import (
     evaluate_parameter,
     fiber_full_check,
     fiber_full_locus,
+    fiber_hilbert_compare,
     free_resolution,
     make_ring,
     monomials_of_degree,
+    parameter_lcm,
+    parameter_monic,
 )
 from fiberfull.resolution import _schreyer_frame, specialize_resolution
 from helpers import (
@@ -100,6 +113,84 @@ def test_polynomial_terms_carry_no_order(drawn):
         assert str(p) == reference_str(p)
     assert (a + b) - b == a
     assert a * (b + c) == a * b + a * c
+
+
+LINES = [make_ring([1], True, field=field, names=["x"]) for field in (QQ, GF(32003))]
+T = sympy.Symbol("t")
+
+
+def _coefficients(ring):
+    if ring.field == QQ:
+        return st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    return st.integers(min_value=0, max_value=32002)
+
+
+@st.composite
+def line_polys(draw, ring):
+    """A polynomial in t of degree at most six: a nonzero constant times up
+    to three factors drawn, with repetition, from two polynomials of degree
+    one or two."""
+    t = ring.parameter()
+    coeffs = _coefficients(ring).filter(lambda c: ring.field.coerce(c) != ring.field.zero)
+    pool = []
+    for _ in range(2):
+        degree = draw(st.integers(min_value=1, max_value=2))
+        lower = draw(st.lists(_coefficients(ring), min_size=degree, max_size=degree))
+        pool.append(t ** degree * draw(coeffs) + sum((t ** k * c for k, c in enumerate(lower)),
+                                                     ring.zero()))
+    p = ring.constant(draw(coeffs))
+    for factor in draw(st.lists(st.sampled_from(pool), max_size=3)):
+        p = p * factor
+    return p
+
+
+@st.composite
+def line_pairs(draw):
+    ring = draw(st.sampled_from(LINES))
+    return ring, draw(line_polys(ring)), draw(line_polys(ring))
+
+
+def _to_sympy(p):
+    field = p.ring.field
+    if field == QQ:
+        coeffs = {(m[1],): sympy.Rational(c.numerator, c.denominator) for m, c in p.terms}
+        return sympy.Poly.from_dict(coeffs, T, domain=sympy.QQ)
+    return sympy.Poly.from_dict({(m[1],): c for m, c in p.terms}, T, modulus=field.p)
+
+
+def _field_value(field, c):
+    if field == QQ:
+        return Fraction(int(c.p), int(c.q))
+    return int(c) % field.p
+
+
+def _from_sympy(ring, q):
+    return ring.poly([((0, k), _field_value(ring.field, c)) for (k,), c in q.terms()
+                      if c != 0])
+
+
+@PROPERTY_SETTINGS
+@given(line_pairs(), st.integers(min_value=-40000, max_value=40000))
+def test_parameter_arithmetic_matches_sympy(drawn, c):
+    ring, f, g = drawn
+    sf, sg = _to_sympy(f), _to_sympy(g)
+    lcm = parameter_lcm(f, g)
+    assert lcm == _from_sympy(ring, sf.lcm(sg))
+    assert lcm == parameter_lcm(g, f)
+    assert parameter_monic(f) == _from_sympy(ring, sf.monic())
+    # c is coerced into the field: reduced mod p, or a fraction over QQ
+    at = Fraction(c, 7) if ring.field == QQ else c
+    expected = sf.eval(sympy.Rational(c, 7)) if ring.field == QQ else sf.eval(c)
+    assert evaluate_parameter(f, at) == _field_value(ring.field, expected)
+    for args in ((f, ring.zero()), (ring.zero(), f)):
+        with pytest.raises(InvalidArgumentError):
+            parameter_lcm(*args)
+    # an x term makes the input no polynomial in t
+    mixed = f + ring.variable(0)
+    for call in (lambda: parameter_lcm(mixed, g), lambda: parameter_lcm(g, mixed),
+                 lambda: parameter_monic(mixed), lambda: evaluate_parameter(mixed, c)):
+        with pytest.raises(InvalidArgumentError):
+            call()
 
 
 @PROPERTY_SETTINGS
@@ -183,3 +274,16 @@ def test_specialized_resolution_is_exact_off_the_locus(M):
         for k in range(1, spec.length + 1):
             for nu in range(5):
                 assert resolution_exact_in_degree(spec, k, nu), (c, k, nu)
+
+
+@PROPERTY_SETTINGS
+@given(planted_diagonal())
+def test_fibers_in_the_locus_have_the_generic_tables(M):
+    g = fiber_full_locus(M)
+    window = (-4, 2)
+    for c in POINTS:
+        if evaluate_parameter(g, c) == Rt.field.zero:
+            continue
+        for i in range(Rt.num_positive + 1):
+            at_c, generic = fiber_hilbert_compare(M, [c, "generic"], i, window)
+            assert at_c == generic, (c, i)
