@@ -46,8 +46,8 @@ print("family ideal:", [str(v.components[0]) for v in family.generators])
 print("family fiber-full at t = 0?", fiber_full_check(family, at=0).overall)
 
 print("H^2 of the fibers at t = 0, 1, 5 (all equal):")
-for tab in fiber_hilbert_compare(family, [0, 1, 5], 2, (-4, 0)):
-    print("  ", tab.dims)
+for tabs in fiber_hilbert_compare(family, [0, 1, 5], (-4, 0)):
+    print("  ", tabs[2].dims)
 
 # -- the full verification pipeline -----------------------------------------
 print("\n-- degeneration report for the conic under lex --")

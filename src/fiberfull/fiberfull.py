@@ -28,7 +28,7 @@ locus followed by checks at several points computes them once.
 from dataclasses import dataclass
 
 from .errors import InvalidArgumentError, TheoremViolationError
-from .ext import _ext_from_resolution, _tables_from_resolution, local_cohomology_hilbert
+from .ext import _ext_from_resolution, _tables_from_resolution, local_cohomology_tables
 from .groebner import (
     buchberger,
     homogenize_omega,
@@ -39,7 +39,6 @@ from .groebner import (
     saturate,
     weight_vector_for,
 )
-from .hilbert import zero_table
 from .modules import GradedFreeModule, PolyVector, SubmodulePresentation, last_presentation
 from .resolution import betti_table, depth_and_regularity, free_resolution, specialize_resolution
 from .rings import Polynomial, evaluate_parameter, parameter_lcm
@@ -250,20 +249,16 @@ def generic_point(pres):
     raise InvalidArgumentError("no good specialization point exists in the field")
 
 
-def fiber_hilbert_compare(pres, points, i, window):
-    """Local cohomology tables of the fibers at the given points ("generic"
-    resolves to the smallest good integer point, computed once).  Inside
-    the fiber-full locus these tables agree; above the number r of
-    positive-degree variables they vanish."""
+def fiber_hilbert_compare(pres, points, window):
+    """Local cohomology tables H^0..H^r of the fibers at the given points
+    ("generic" resolves to the smallest good integer point, computed once),
+    one list per point and one resolution per distinct point.  Inside the
+    fiber-full locus these tables agree."""
     generic = generic_point(pres) if "generic" in points else None
-    tables = []
-    for c in points:
-        spec = specialize_presentation(pres, generic if c == "generic" else c)
-        if i > pres.ring.num_positive:
-            tables.append(zero_table(window))
-        else:
-            tables.append(local_cohomology_hilbert(spec, i, window))
-    return tables
+    at = [generic if c == "generic" else c for c in points]
+    tables = {c: local_cohomology_tables(specialize_presentation(pres, c), window)
+              for c in dict.fromkeys(at)}
+    return [tables[c] for c in at]
 
 
 # ---------------------------------------------------------------------------

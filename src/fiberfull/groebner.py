@@ -151,24 +151,24 @@ def _tv_normal_form(tv, index, morder, field, quotients=None, skip=None):
 # Buchberger
 
 
-def _spair_data(ring, gi, gj):
-    (mi, ci) = gi.lead_mm
-    (mj, cj) = gj.lead_mm
-    lcm = mon_lcm(mi, mj)
-    sugar = max(
-        gi.sugar + ring.degree(mon_div(lcm, mi)),
-        gj.sugar + ring.degree(mon_div(lcm, mj)),
-    )
-    return lcm, sugar
-
-
 def gb_engine(tvs, morder, ring, twists):
     """Compute a reduced marked basis from raw term vectors.
 
-    Pair selection is by sugar degree, then lcm key (normal strategy).  The
-    chain criterion is applied at selection time; the coprimality criterion
-    only for rank-1 ambients, where it is valid.  The lead index of the basis
-    grows with it, so pairs, chain tests and reductions scan only the
+    Elements enter the basis one at a time, the input sorted by lead key, and
+    pairs are pruned once, when an element g_n enters (Gebauer-Moeller):
+
+      * criterion B drops a pending pair (i, j) when lm(g_n) divides its lcm
+        and that lcm differs from both lcm(i, n) and lcm(j, n);
+      * the pair of two single-term elements is never formed: its S-vector
+        is zero;
+      * criteria M and F keep, among the new pairs (i, n) sorted by the key
+        of their lcm, only those whose lcm no kept pair's lcm divides;
+      * the product criterion, valid at rank 1 only: a pair with coprime
+        leads is kept, so that it drops later pairs (it comes first on
+        equal lcms), but never pushed.
+
+    Pairs pop by sugar degree, then lcm key (normal strategy).  The lead
+    index of the basis grows with it, so pairs and reductions scan only the
     elements whose lead shares the component in question.
     """
     field = ring.field
@@ -179,47 +179,51 @@ def gb_engine(tvs, morder, ring, twists):
         b.sugar = max(ring.degree(m) + twists[c] for _, (m, c), _ in b.tv)
         return b
 
-    basis = [mark(tv) for tv in tvs if tv]
-    basis.sort(key=lambda b: b.lead_key)
-    index = _lead_index(basis)
-
+    basis = []
+    index = {}
     heap = []
-    pending = set()
+    pending = {}  # component -> {(i, j): lcm of the two leads}
 
-    def push_pairs(n):
-        gn = basis[n]
-        comp = gn.lead_mm[1]
-        for i, _, gi in index[comp]:
-            if i >= n:
-                break
-            lcm, sugar = _spair_data(ring, gi, gn)
-            heapq.heappush(heap, (sugar, morder.key(lcm, comp), i, n))
-            pending.add((i, n))
+    def enter(b):
+        n = len(basis)
+        basis.append(b)
+        mn, comp = b.lead_mm
+        pairs = pending.setdefault(comp, {})
+        for (i, j), lcm in list(pairs.items()):
+            if (mon_divides(mn, lcm) and lcm != mon_lcm(basis[i].lead_mm[0], mn)
+                    and lcm != mon_lcm(basis[j].lead_mm[0], mn)):
+                del pairs[(i, j)]
+        single = len(b.tv) == 1
+        candidates = []
+        for i, mi, gi in index.get(comp, ()):
+            if single and len(gi.tv) == 1:
+                continue
+            coprime = rank == 1 and mon_is_one(mon_gcd(mi, mn))
+            lcm = mon_lcm(mi, mn)
+            candidates.append((morder.key(lcm, comp), not coprime, i, lcm))
+        candidates.sort()
+        kept = []
+        for lcm_key, nonzero, i, lcm in candidates:
+            if any(mon_divides(k, lcm) for k in kept):
+                continue
+            kept.append(lcm)
+            if nonzero:
+                gi = basis[i]
+                sugar = max(gi.sugar + ring.degree(mon_div(lcm, gi.lead_mm[0])),
+                            b.sugar + ring.degree(mon_div(lcm, mn)))
+                heapq.heappush(heap, (sugar, lcm_key, i, n))
+                pairs[(i, n)] = lcm
+        _index_add(index, n, b)
 
-    for n in range(len(basis)):
-        push_pairs(n)
+    for b in sorted((mark(tv) for tv in tvs if tv), key=lambda b: b.lead_key):
+        enter(b)
 
     while heap:
-        sugar, lcm_key, i, j = heapq.heappop(heap)
-        if (i, j) not in pending:
-            continue
-        pending.discard((i, j))
+        _, _, i, j = heapq.heappop(heap)
         gi, gj = basis[i], basis[j]
-        mi, ci = gi.lead_mm
-        mj, _ = gj.lead_mm
-        lcm = mon_lcm(mi, mj)
-        if rank == 1 and mon_is_one(mon_gcd(mi, mj)):
-            continue
-        skip = False
-        for k, mk, _ in index[ci]:
-            if k in (i, j) or not mon_divides(mk, lcm):
-                continue
-            a, b = (i, k) if i < k else (k, i)
-            c, d = (j, k) if j < k else (k, j)
-            if (a, b) not in pending and (c, d) not in pending:
-                skip = True
-                break
-        if skip:
+        (mi, comp), (mj, _) = gi.lead_mm, gj.lead_mm
+        lcm = pending[comp].pop((i, j), None)
+        if lcm is None:
             continue
         sp = _tv_add(
             _tv_mul_term(gi.tv, mon_div(lcm, mi), field.one, morder, field),
@@ -228,9 +232,7 @@ def gb_engine(tvs, morder, ring, twists):
         )
         rem = _tv_normal_form(sp, index, morder, field)
         if rem:
-            basis.append(mark(rem))
-            _index_add(index, len(basis) - 1, basis[-1])
-            push_pairs(len(basis) - 1)
+            enter(mark(rem))
 
     return _interreduce(basis, morder, field)
 

@@ -1,11 +1,11 @@
 """Shared test utilities: random element generators and independent oracles
 (a printer that sorts the terms itself, brute-force standard-monomial
-counting, Krull dimension by a subset scan, S-pair closure, degreewise
-exactness by exact linear algebra, division by a linear scan of the basis,
-minimization that restarts its scan after every pivot, colon and Ext
-relations as the heads of a syzygy graph, saturation from a reduced basis of
-its own, the torsion annihilator contracted to k[t] by a block-order
-basis)."""
+counting, Krull dimension by a subset scan, S-pair closure, Buchberger over
+all pairs with no criterion, degreewise exactness by exact linear algebra,
+division by a linear scan of the basis, minimization that restarts its scan
+after every pivot, colon and Ext relations as the heads of a syzygy graph,
+saturation from a reduced basis of its own, the torsion annihilator
+contracted to k[t] by a block-order basis)."""
 
 from fiberfull import (
     GradedFreeModule,
@@ -21,7 +21,14 @@ from fiberfull import (
     parameter_monic,
 )
 from fiberfull.ext import _dual_columns
-from fiberfull.groebner import _tv_add, _tv_mul_term
+from fiberfull.groebner import (
+    _index_add,
+    _interreduce,
+    _mark,
+    _tv_add,
+    _tv_mul_term,
+    _tv_normal_form,
+)
 from fiberfull.linalg import matrix_rank
 from fiberfull.rings import mon_div, mon_divides, mon_lcm
 
@@ -125,6 +132,39 @@ def spair_closure_holds(G):
             if not normal_form(sp, G).is_zero():
                 return False
     return True
+
+
+def all_pairs_engine(tvs, morder, ring, twists):
+    """Reduced marked basis from raw term vectors by Buchberger's algorithm
+    with no criterion: every pair of elements whose leads share a component
+    is reduced, first in first out, and the basis is interreduced as
+    ``gb_engine`` does.  Takes the arguments of ``gb_engine``, so it can
+    stand in for it."""
+    field = ring.field
+    one, minus_one = field.one, field.neg(field.one)
+    basis = []
+    index = {}
+    queue = []
+
+    def enter(b):
+        queue.extend((i, len(basis)) for i, a in enumerate(basis) if a.lead_mm[1] == b.lead_mm[1])
+        _index_add(index, len(basis), b)
+        basis.append(b)
+
+    for tv in tvs:
+        if tv:
+            enter(_mark(tv, field))
+    while queue:
+        i, j = queue.pop(0)
+        (mi, _), (mj, _) = basis[i].lead_mm, basis[j].lead_mm
+        lcm = mon_lcm(mi, mj)
+        sp = _tv_add(_tv_mul_term(basis[i].tv, mon_div(lcm, mi), one, morder, field),
+                     _tv_mul_term(basis[j].tv, mon_div(lcm, mj), minus_one, morder, field),
+                     field)
+        rem = _tv_normal_form(sp, index, morder, field)
+        if rem:
+            enter(_mark(rem, field))
+    return _interreduce(basis, morder, field)
 
 
 def degree_slice_matrix(res, k, nu):

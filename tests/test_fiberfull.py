@@ -414,36 +414,59 @@ def test_fiber_hilbert_compare_resolves_generic_once(monkeypatch):
     monkeypatch.setattr(fiberfull.fiberfull, "generic_point", counting)
     Rt = _line_ring()
     M = SubmodulePresentation.ideal(Rt, [Rt.parse("t*x")])
-    tabs = fiber_hilbert_compare(M, ["generic", 0, "generic"], 0, (0, 0))
+    tabs = fiber_hilbert_compare(M, ["generic", 0, "generic"], (0, 0))
     assert len(calls) == 1
-    assert tabs[0] == tabs[2] != tabs[1]
+    assert tabs[0][0] == tabs[2][0] != tabs[1][0]
 
 
-def test_fiber_hilbert_compare_vanishes_above_r():
+def test_fiber_hilbert_compare_resolves_each_distinct_fiber_once(monkeypatch):
+    import fiberfull.ext
+
+    resolved = []
+
+    def counting(pres):
+        resolved.append(pres)
+        return free_resolution(pres)
+
+    monkeypatch.setattr(fiberfull.ext, "free_resolution", counting)
+    R = make_ring([1, 1], True, field=GF(32003), names=["x", "y"])
+    x, y, t = R.variable(0), R.variable(1), R.parameter()
+    amb = GradedFreeModule(R, (0, 0))
+    M = SubmodulePresentation(amb, [PolyVector(amb, (t * (t - R.one()) * x, R.zero())),
+                                    PolyVector(amb, (R.zero(), (t - R.constant(2)) * y * y))])
+    assert generic_point(M) == 3
+    tabs = fiber_hilbert_compare(M, [3, 4, 5, "generic", 4], (-4, 2))
+    assert len(resolved) == 3
+    assert all(len(point) == R.num_positive + 1 for point in tabs)
+    assert tabs[0] == tabs[1] == tabs[2] == tabs[3] == tabs[4]
+
+
+def test_fiber_hilbert_compare_lists_h0_to_hr():
     Rt = _line_ring()
     M = SubmodulePresentation.ideal(Rt, [Rt.parse("t*x")])
-    for tab in fiber_hilbert_compare(M, [0, 1, "generic"], 2, (-3, 1)):
-        assert tab.window == (-3, 1) and tab.is_zero()
+    for tabs in fiber_hilbert_compare(M, [0, 1, "generic"], (-3, 1)):
+        assert len(tabs) == Rt.num_positive + 1
+        assert all(tab.window == (-3, 1) for tab in tabs)
 
 
 def test_fiber_hilbert_compare_conic_family():
     R3t = make_ring([1, 1, 1], True, names=["x", "y", "z"])
     F = SubmodulePresentation.ideal(R3t, [R3t.parse("x*z - t*y^2")])
-    tabs = fiber_hilbert_compare(F, [0, 1, "generic"], 2, (-5, 0))
+    tabs = [point[2] for point in fiber_hilbert_compare(F, [0, 1, "generic"], (-5, 0))]
     assert tabs[0] == tabs[1] == tabs[2]
     assert tabs[0].dims[-1] == 1 and tabs[0].dims[-5] == 9
 
     # constant family: identical tables at any points
     C = SubmodulePresentation.ideal(R3t, [R3t.parse("x*y")])
-    t1, t2 = fiber_hilbert_compare(C, [0, 7], 2, (-4, 0))
-    assert t1 == t2
+    t1, t2 = fiber_hilbert_compare(C, [0, 7], (-4, 0))
+    assert t1[2] == t2[2]
 
 
 def test_fiber_hilbert_compare_detects_jump():
     Rt = _line_ring()
     x, t = Rt.variable(0), Rt.parameter()
     M = SubmodulePresentation.ideal(Rt, [t * x])
-    t0, t1 = fiber_hilbert_compare(M, [0, 1], 0, (0, 0))
+    t0, t1 = (point[0] for point in fiber_hilbert_compare(M, [0, 1], (0, 0)))
     assert t0.dims[0] == 0 and t1.dims[0] == 1
     assert t0 != t1
 
@@ -496,9 +519,9 @@ def test_verify_degeneration_family_tables_locally_constant():
     G = gb(pres, TermOrder.lex())
     omega = weight_vector_for(G)
     J = homogenize_omega(G, omega)
+    tabs = fiber_hilbert_compare(J, [0, 1, 2, 5], (-6, 2))
     for i in range(4):
-        tabs = fiber_hilbert_compare(J, [0, 1, 2, 5], i, (-6, 2))
-        assert all(t == tabs[0] for t in tabs[1:])
+        assert all(t[i] == tabs[0][i] for t in tabs[1:])
 
 
 def test_semicontinuity_for_arbitrary_ideals():

@@ -250,6 +250,27 @@ def test_groebner_over_prime_field():
     assert spair_closure_holds(G)
 
 
+def test_monomial_ideal_reduces_no_s_vector(monkeypatch):
+    # every pair of (x1..x6)^4 is a pair of two single-term elements, which
+    # is never formed: the only normal forms are the 126 of the
+    # interreduction
+    from fiberfull import QQ, groebner, monomials_of_degree
+
+    R = make_ring([1] * 6, field=QQ)
+    gens = monomials_of_degree(R, 4)
+    calls = []
+    divide = groebner._tv_normal_form
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return divide(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_tv_normal_form", counting)
+    G = buchberger(SubmodulePresentation.ideal(R, [R.poly([(m, 1)]) for m in gens]))
+    assert len(gens) == len(calls) == 126
+    assert sorted(G.leads) == sorted((m, 0) for m in gens)
+
+
 def test_module_groebner_rank_two():
     # leads land in different components, so the only work is tail reduction;
     # membership of y*f - x*g exercises the full division path

@@ -1,6 +1,7 @@
 """Independent oracle for Buchberger: the reduced Groebner basis of seeded
 random homogeneous ideals must equal the one ``sympy.groebner`` computes,
-under grevlex and lex, over QQ and over a prime field."""
+under grevlex and lex, over QQ and over a prime field.  Some of the ideals
+have one or two monomial generators, whose pair the engine never forms."""
 
 import random
 
@@ -28,13 +29,21 @@ def _random_form(rng, ring, degree):
     return ring.poly(terms)
 
 
-def _random_ideal(rng, field):
+def _degrees(ring):
     # cubics only in 3 variables: lex bases of cubics in 4 variables over QQ
     # can take sympy many seconds
-    nvars = rng.choice((3, 4))
-    ring = make_ring([1] * nvars, field=field)
-    degrees = (2, 3) if nvars == 3 else (2,)
+    return (2, 3) if ring.nvars == 3 else (2,)
+
+
+def _random_ideal(rng, field):
+    ring = make_ring([1] * rng.choice((3, 4)), field=field)
+    degrees = _degrees(ring)
     return ring, [_random_form(rng, ring, rng.choice(degrees)) for _ in range(rng.randint(2, 3))]
+
+
+def _random_monomial(rng, ring):
+    mons = monomials_of_degree(ring, rng.choice(_degrees(ring)))
+    return ring.poly([(rng.choice(mons), rng.choice((-3, -2, -1, 1, 2, 3)))])
 
 
 def _normalize(coeff, field):
@@ -64,5 +73,16 @@ def test_reduced_basis_matches_sympy(order, field):
     rng = random.Random("oracle-%s-%r" % (order, field))
     for _ in range(IDEALS):
         ring, gens = _random_ideal(rng, field)
+        ours = _ours(ring, gens, getattr(TermOrder, order)(), field)
+        assert ours == _sympy(ring, gens, order, field), [str(g) for g in gens]
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+@pytest.mark.parametrize("field", [QQ, GF(P)], ids=["QQ", "GF32003"])
+def test_reduced_basis_with_monomial_generators_matches_sympy(order, field):
+    rng = random.Random("oracle-monomials-%s-%r" % (order, field))
+    for _ in range(IDEALS):
+        ring, gens = _random_ideal(rng, field)
+        gens += [_random_monomial(rng, ring) for _ in range(rng.randint(1, 2))]
         ours = _ours(ring, gens, getattr(TermOrder, order)(), field)
         assert ours == _sympy(ring, gens, order, field), [str(g) for g in gens]

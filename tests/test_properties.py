@@ -20,17 +20,27 @@
     never 0; the check at (t - c) passes exactly when g(c) != 0; at each
     root of g some torsion certificate vanishes; and at every c with
     g(c) != 0 each local cohomology table of the fiber equals that of the
-    generic fiber.
+    generic fiber;
+  * Buchberger with the pair criteria against Buchberger over all pairs
+    (``helpers.all_pairs_engine`` standing in for ``gb_engine``), over QQ
+    and GF(32003): ideals mixing monomials with forms of two to four terms,
+    submodules of rank two and three whose generators span several
+    components, and kernels modulo a submodule (the block order of
+    ``module_kernel``);
+  * Hochster's formula against the Ext-duality tables on square-free
+    monomial ideals in five to seven variables over QQ.
 
 Examples are derandomized and nothing is stored between runs."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fiberfull.groebner
 from fiberfull import (
     GF,
     GradedFreeModule,
@@ -45,13 +55,17 @@ from fiberfull import (
     fiber_full_locus,
     fiber_hilbert_compare,
     free_resolution,
+    hochster_hilbert,
+    local_cohomology_tables,
     make_ring,
+    module_kernel,
     monomials_of_degree,
     parameter_lcm,
     parameter_monic,
 )
 from fiberfull.resolution import _schreyer_frame, specialize_resolution
 from helpers import (
+    all_pairs_engine,
     graph_colon,
     reference_str,
     resolution_exact_in_degree,
@@ -223,6 +237,86 @@ def test_resolution_routes(gens):
             assert resolution_exact_in_degree(res, k, nu), (k, nu)
 
 
+GB_RINGS = [make_ring([1, 1, 1], field=field, names=["x", "y", "z"]) for field in (QQ, GF(32003))]
+
+
+@st.composite
+def mixed_forms(draw, ring, degree):
+    """A monomial, or a form of two to four terms, of the given degree."""
+    mons = monomials_of_degree(ring, degree)
+    size = min(draw(st.sampled_from((1, 2, 3, 4))), len(mons))
+    chosen = draw(st.lists(st.sampled_from(mons), min_size=size, max_size=size, unique=True))
+    coeffs = draw(st.lists(st.sampled_from((-3, -2, -1, 1, 2, 3)), min_size=size, max_size=size))
+    return ring.poly(list(zip(chosen, coeffs)))
+
+
+@st.composite
+def mixed_vectors(draw, amb, degree):
+    """A vector of ``amb`` of the given degree, nonzero in one or more
+    components, each a monomial or a form of two to four terms."""
+    comps = [amb.ring.zero()] * amb.rank
+    for c in draw(st.lists(st.integers(min_value=0, max_value=amb.rank - 1), min_size=1,
+                           max_size=amb.rank, unique=True)):
+        comps[c] = draw(mixed_forms(amb.ring, degree))
+    return PolyVector(amb, tuple(comps))
+
+
+@st.composite
+def mixed_submodules(draw, ranks=(1, 2, 3), count=(2, 4)):
+    ring = draw(st.sampled_from(GB_RINGS))
+    amb = GradedFreeModule(ring, (0,) * draw(st.sampled_from(ranks)))
+    gens = draw(st.lists(st.integers(min_value=1, max_value=3).flatmap(
+        lambda d: mixed_vectors(amb, d)), min_size=count[0], max_size=count[1]))
+    return SubmodulePresentation(amb, gens)
+
+
+def _all_pairs():
+    return mock.patch.object(fiberfull.groebner, "gb_engine", all_pairs_engine)
+
+
+@PROPERTY_SETTINGS
+@given(mixed_submodules())
+def test_pair_criteria_against_all_pairs(U):
+    G = buchberger(U)
+    with _all_pairs():
+        reference = buchberger(U)
+    assert G.elements == reference.elements
+    assert G.leads == reference.leads
+
+
+@PROPERTY_SETTINGS
+@given(mixed_submodules(ranks=(1, 2), count=(1, 3)), st.data())
+def test_pair_criteria_against_all_pairs_in_kernels(U, data):
+    vectors = data.draw(st.lists(st.integers(min_value=1, max_value=2).flatmap(
+        lambda d: mixed_vectors(U.ambient, d)), min_size=1, max_size=3))
+    twists = [v.degree() for v in vectors]
+    kernel = module_kernel(vectors, twists, U.ambient, modulo=U.generators)
+    with _all_pairs():
+        assert kernel == module_kernel(vectors, twists, U.ambient, modulo=U.generators)
+
+
+SQUAREFREE_RINGS = {n: make_ring([1] * n) for n in (5, 6, 7)}
+
+
+@st.composite
+def squarefree_ideals(draw):
+    """An ideal of one to six square-free monomials of degree one to four."""
+    ring = SQUAREFREE_RINGS[draw(st.sampled_from(sorted(SQUAREFREE_RINGS)))]
+    n = ring.num_positive
+    supports = draw(st.lists(st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1,
+                                     max_size=4), min_size=1, max_size=6))
+    return SubmodulePresentation.ideal(
+        ring, [ring.poly([(tuple(int(i in s) for i in range(n)), 1)]) for s in supports])
+
+
+@PROPERTY_SETTINGS
+@given(squarefree_ideals())
+def test_hochster_tables_equal_the_ext_duality_tables(I):
+    window = (-6, 2)
+    tables = local_cohomology_tables(I, window)
+    assert tables == [hochster_hilbert(I, i, window) for i in range(I.ring.num_positive + 1)]
+
+
 Rt = make_ring([1, 1], True, field=GF(32003), names=["x", "y"])
 POINTS = range(6)
 
@@ -284,6 +378,6 @@ def test_fibers_in_the_locus_have_the_generic_tables(M):
     for c in POINTS:
         if evaluate_parameter(g, c) == Rt.field.zero:
             continue
+        at_c, generic = fiber_hilbert_compare(M, [c, "generic"], window)
         for i in range(Rt.num_positive + 1):
-            at_c, generic = fiber_hilbert_compare(M, [c, "generic"], i, window)
-            assert at_c == generic, (c, i)
+            assert at_c[i] == generic[i], (c, i)
