@@ -188,9 +188,10 @@ def run_command(command, args):
         report["length"] = res.length
         report["ranks"] = res.ranks()
         report["twists"] = [list(m.twists) for m in res.modules]
+        zero = res.ring.zero()
         report["differentials"] = [
-            [[str(col.components[row]) for col in cols] for row in range(res.modules[k].rank)]
-            for k, cols in enumerate(res.diffs)
+            [[str(row.get(c, zero)) for c in range(res.modules[k + 1].rank)] for row in A]
+            for k, A in enumerate(res.rows)
         ]
     elif command == "betti":
         table = betti_table(free_resolution(pres))

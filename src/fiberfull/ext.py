@@ -6,25 +6,24 @@ through the duality with Ext: over a field base,
 
 where r counts the positive-degree variables and delta is their total weight.
 The dual twist and the degree flip of the base dual compose into the single
-index shift above.
+index shift above.  The transposed differentials need no transposing: row r
+of d_k, as the resolution stores it, is the r-th column of d_k^T.
 """
 
 from .errors import IndexOutOfRangeError, InvalidArgumentError
 from .groebner import buchberger, module_kernel
-from .hilbert import HilbertTable, hilbert_from_leads, zero_table
+from .hilbert import HilbertTable, check_window, hilbert_from_leads
 from .modules import GradedFreeModule, PolyVector, SubmodulePresentation
 from .resolution import free_resolution
 
 
 def _dual_columns(res, k):
-    """Columns of the transpose of d_k, as vectors in the dual of F_k."""
-    cols = res.diffs[k - 1]
+    """Columns of the transpose of d_k, as vectors in the dual of F_k: the
+    r-th one is row r of d_k, filled with zeros."""
     source_dual = res.modules[k].dual()
-    out = []
-    for row in range(res.modules[k - 1].rank):
-        comps = tuple(col.components[row] for col in cols)
-        out.append(PolyVector(source_dual, comps))
-    return out
+    zero = res.ring.zero()
+    return [PolyVector(source_dual, tuple(row.get(c, zero) for c in range(source_dual.rank)))
+            for row in res.rows[k - 1]]
 
 
 def _ext_from_resolution(res, i):
@@ -65,9 +64,8 @@ def hilbert_function(pres, window):
     """Exact dimensions of the graded pieces of a module presentation on a
     finite window, by standard-monomial counting against the initial module
     of the relations."""
+    check_window(window)
     ambient = pres.ambient
-    if ambient.rank == 0:
-        return zero_table(window)
     leads = buchberger(pres).leads if pres.generators else []
     return hilbert_from_leads(ambient.ring, ambient.rank, ambient.twists, leads, window)
 
@@ -86,6 +84,7 @@ def local_cohomology_hilbert(pres, i, window):
 
     Computed as the base dual of Ext^{r-i} twisted by -delta; an index
     i > r, where it vanishes, is an error."""
+    check_window(window)
     r = _field_base_rank(pres.ring)
     if i < 0:
         raise IndexOutOfRangeError("negative cohomological index")
@@ -96,6 +95,7 @@ def local_cohomology_hilbert(pres, i, window):
 
 def local_cohomology_tables(pres, window):
     """All tables H^0..H^r at once, sharing one resolution."""
+    check_window(window)
     _field_base_rank(pres.ring)
     return _tables_from_resolution(free_resolution(pres), window)
 

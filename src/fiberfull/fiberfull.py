@@ -39,6 +39,7 @@ from .groebner import (
     saturate,
     weight_vector_for,
 )
+from .hilbert import check_window
 from .modules import GradedFreeModule, PolyVector, SubmodulePresentation, last_presentation
 from .resolution import betti_table, depth_and_regularity, free_resolution, specialize_resolution
 from .rings import Polynomial, evaluate_parameter, parameter_lcm
@@ -254,6 +255,7 @@ def fiber_hilbert_compare(pres, points, window):
     ("generic" resolves to the smallest good integer point, computed once),
     one list per point and one resolution per distinct point.  Inside the
     fiber-full locus these tables agree."""
+    check_window(window)
     generic = generic_point(pres) if "generic" in points else None
     at = [generic if c == "generic" else c for c in points]
     tables = {c: local_cohomology_tables(specialize_presentation(pres, c), window)
@@ -323,6 +325,7 @@ def verify_degeneration(pres, order, window):
     with torsion over k[t] is not flat, which a Groebner family always is,
     and raises a theorem-violation error too.
     """
+    check_window(window)
     ring = pres.ring
     if ring.has_parameter:
         raise InvalidArgumentError("the input ideal must not involve the parameter")

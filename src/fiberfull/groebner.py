@@ -407,18 +407,13 @@ def module_kernel(vectors, source_twists, ambient, modulo=()):
     basis."""
     ring = ambient.ring
     f = ambient.rank
-    n = len(vectors)
-    combined = GradedFreeModule(ring, ambient.twists + tuple(source_twists))
     morder = BlockTOPOrder(ring, TermOrder.grevlex(), f)
-    zeros = (ring.zero(),) * n
-    tvs = []
-    for i, v in enumerate(vectors):
-        comps = list(v.components) + list(zeros)
-        comps[f + i] = ring.one()
-        tvs.append(_tv_from_vector(PolyVector(combined, tuple(comps)), morder))
-    for u in modulo:
-        tvs.append(_tv_from_vector(PolyVector(combined, u.components + zeros), morder))
-    marked = gb_engine(tvs, morder, ring, combined.twists)
+    one = ring.one_monomial()
+    # e_{f+i} lies in the lower block, so its term sorts last
+    tvs = [_tv_from_vector(v, morder) + [(morder.key(one, f + i), (one, f + i), ring.field.one)]
+           for i, v in enumerate(vectors)]
+    tvs += [_tv_from_vector(u, morder) for u in modulo]
+    marked = gb_engine(tvs, morder, ring, ambient.twists + tuple(source_twists))
     source = GradedFreeModule(ring, tuple(source_twists))
     return [_tv_to_vector([(k, (m, c - f), cf) for k, (m, c), cf in b.tv], source)
             for b in marked if b.lead_mm[1] >= f]

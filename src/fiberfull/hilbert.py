@@ -208,16 +208,19 @@ class HilbertTable:
         return "HilbertTable(%s on [%d, %d])" % (nz, self.window[0], self.window[1])
 
 
-def zero_table(window):
-    return HilbertTable(window, {})
+def check_window(window):
+    """The bounds (lo, hi) of a window; every entry point taking a window
+    calls this first, so an empty one is reported as the caller gave it."""
+    lo, hi = window
+    if lo > hi:
+        raise InvalidArgumentError("empty window [%d, %d]" % (lo, hi))
+    return lo, hi
 
 
 def hilbert_from_leads(ring, rank, twists, leads, window):
     """Hilbert table of ambient/<monomial module generated by leads> where
     ``leads`` is a list of (monomial, component) pairs."""
     lo, hi = window
-    if lo > hi:
-        raise InvalidArgumentError("empty window [%d, %d]" % (lo, hi))
     weights = ring.weights
     r = ring.num_positive
     per_comp = [[] for _ in range(rank)]

@@ -13,7 +13,7 @@ from itertools import combinations
 
 from .errors import InvalidArgumentError
 from .groebner import is_squarefree
-from .hilbert import HilbertTable
+from .hilbert import HilbertTable, check_window
 from .linalg import matrix_rank
 from .modules import last_presentation
 
@@ -133,8 +133,8 @@ def hochster_hilbert(pres, i, window):
     quotient, via links: each face contributes its reduced cohomology in
     dimension i - |face| - 1 times the count of negative exponent vectors
     supported on the face with the prescribed total degree."""
+    lo, hi = check_window(window)
     weights = pres.ring.weights
-    lo, hi = window
     contributions = []
     for face, coh in _link_cohomology(pres):
         h = coh.get(i - len(face) - 1, 0)

@@ -24,10 +24,6 @@ class GradedFreeModule:
     def rank(self):
         return len(self.twists)
 
-    def zero_vector(self):
-        z = self.ring.zero()
-        return PolyVector(self, (z,) * self.rank)
-
     def basis_vector(self, i):
         comps = [self.ring.zero()] * self.rank
         comps[i] = self.ring.one()

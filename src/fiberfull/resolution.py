@@ -7,6 +7,10 @@ Over k[x] the result is the minimal resolution; over k[t][x] it is a free
 resolution that may keep degree-0 entries such as t - 1, so it carries no
 Betti table.
 
+A differential is stored as its sparse rows, filled from the syzygies'
+term vectors and pruned in place; read in F_{k+1}^* they are the columns
+of the transposed map that Ext and the local cohomology tables use.
+
 Each syzygy level is re-sorted so that leading monomials descend
 lexicographically before the next level is formed; with that ordering the
 variable support of the induced leading terms shrinks at every step, which
@@ -14,25 +18,26 @@ keeps iterated syzygy chains short.
 """
 
 from .errors import InvalidArgumentError
-from .groebner import _schreyer_level, _tv_to_vector, buchberger
+from .groebner import _schreyer_level, buchberger
 from .hilbert import monomial_quotient_dimension
-from .modules import GradedFreeModule, PolyVector
+from .modules import GradedFreeModule
+from .rings import Polynomial
 
 
 class Resolution:
-    """Chain F_0 <- F_1 <- ... with graded differentials; diffs[k] holds the
-    columns of d_{k+1}: F_{k+1} -> F_k as vectors in F_k."""
+    """Chain F_0 <- F_1 <- ... with graded differentials; rows[k][r] maps each
+    column c to the nonzero entry (r, c) of d_{k+1}: F_{k+1} -> F_k."""
 
-    __slots__ = ("modules", "diffs", "minimal")
+    __slots__ = ("modules", "rows", "minimal")
 
-    def __init__(self, modules, diffs, minimal):
+    def __init__(self, modules, rows, minimal):
         self.modules = list(modules)
-        self.diffs = list(diffs)
+        self.rows = list(rows)
         self.minimal = minimal
 
     @property
     def length(self):
-        return len(self.diffs)
+        return len(self.rows)
 
     @property
     def ring(self):
@@ -41,19 +46,16 @@ class Resolution:
     def ranks(self):
         return [m.rank for m in self.modules]
 
-    def apply(self, k, vector):
-        """Image under d_{k+1} of a vector of F_{k+1} (components given)."""
-        cols = self.diffs[k]
-        out = self.modules[k].zero_vector()
-        for col, coeff in zip(cols, vector.components):
-            out = out + col.mul_poly(coeff)
-        return out
-
     def check_complex(self):
         """d o d = 0 for every consecutive pair."""
-        for k in range(1, len(self.diffs)):
-            for col in self.diffs[k]:
-                if not self.apply(k - 1, col).is_zero():
+        zero = self.ring.zero()
+        for upper, lower in zip(self.rows, self.rows[1:]):
+            for row in upper:
+                product = {}
+                for m, a in row.items():
+                    for c, b in lower[m].items():
+                        product[c] = product.get(c, zero) + a * b
+                if any(not entry.is_zero() for entry in product.values()):
                     return False
         return True
 
@@ -86,14 +88,14 @@ def specialize_resolution(res, c):
     """The complex F (x) k[t]/(t - c) of a resolution F over k[t][x], with
     its unit entries pruned: the minimal resolution of M/(t - c)M over k[x]
     when the module M that F resolves has no (t - c)-torsion, for then
-    Tor_1 over k[t] vanishes and the specialized complex stays exact."""
+    Tor_1 over k[t] vanishes and the specialized complex stays exact.
+    Entries vanishing at t = c are dropped; ``res`` is left as it was."""
     target = res.ring.without_parameter()
     modules = [GradedFreeModule(target, m.twists) for m in res.modules]
-    diffs = [[PolyVector(modules[k], tuple(p.specialize_parameter(c, target)
-                                           for p in col.components))
-              for col in cols]
-             for k, cols in enumerate(res.diffs)]
-    out = Resolution(modules, diffs, False)
+    rows = [[{col: s for col, entry in row.items()
+              if not (s := entry.specialize_parameter(c, target)).is_zero()} for row in A]
+            for A in res.rows]
+    out = Resolution(modules, rows, False)
     _minimize_in_place(out)
     out.minimal = True
     return out
@@ -115,13 +117,16 @@ def _schreyer_frame(pres):
     marked, twists = _sorted_level(G.marked, twists)
 
     modules = [F0]
-    diffs = []
+    rows = []
     parent_twists = F0.twists
     while marked:
-        level_module = GradedFreeModule(ring, twists)
-        cols = [_tv_to_vector(b.tv, modules[-1]) for b in marked]
-        modules.append(level_module)
-        diffs.append(cols)
+        # column c is the syzygy marked[c]
+        level = [{} for _ in range(modules[-1].rank)]
+        for c, b in enumerate(marked):
+            for _, (mon, comp), coeff in b.tv:
+                level[comp].setdefault(c, {})[mon] = coeff
+        rows.append([{c: Polynomial(ring, cs) for c, cs in row.items()} for row in level])
+        modules.append(GradedFreeModule(ring, twists))
         syz_marked, morder, _, syz_twists = _schreyer_level(
             marked, morder, ring, parent_twists)
         if not syz_marked:
@@ -129,7 +134,7 @@ def _schreyer_frame(pres):
         parent_twists = twists
         marked, twists = _sorted_level(syz_marked, syz_twists)
 
-    return Resolution(modules, diffs, False)
+    return Resolution(modules, rows, False)
 
 
 def _minimize_in_place(res):
@@ -145,17 +150,13 @@ def _minimize_in_place(res):
     sweep has passed; the result is still a free resolution of the same
     module.
 
-    Row r of d_{k+1} is kept as a map from columns to its nonzero entries.
-    Rows and columns keep their frame indices and a deleted one leaves the
-    order of the others alone, so the first column is the smallest index."""
+    The rows of ``res`` are pruned as they stand; a stored entry is nonzero,
+    so a constant one is a unit.  Rows and columns keep their frame indices
+    until the survivors are renumbered at the end, so the first column is
+    the smallest index."""
     ring = res.ring
     field = ring.field
-    rows = [[{} for _ in range(res.modules[k].rank)] for k in range(len(res.diffs))]
-    for k, diff in enumerate(res.diffs):
-        for c, col in enumerate(diff):
-            for r, entry in enumerate(col.components):
-                if not entry.is_zero():
-                    rows[k][r][c] = entry
+    rows = res.rows
     alive = [[True] * m.rank for m in res.modules]
     zero = ring.zero()
     for lvl, A in enumerate(rows):
@@ -188,17 +189,16 @@ def _minimize_in_place(res):
     kept = [[i for i, a in enumerate(flags) if a] for flags in alive]
     modules = [GradedFreeModule(ring, tuple(m.twists[i] for i in kept[k]))
                for k, m in enumerate(res.modules)]
-    diffs = [[PolyVector(modules[k], tuple(A[r].get(c, zero) for r in kept[k]))
-              for c in kept[k + 1]]
-             for k, A in enumerate(rows)]
+    index = [{i: j for j, i in enumerate(ks)} for ks in kept]
+    rows = [[{index[k + 1][c]: entry for c, entry in A[r].items()} for r in kept[k]]
+            for k, A in enumerate(rows)]
     # an exact minimal tail of rank-0 modules carries no information; the
     # zero module keeps a single rank-0 slot
     while len(modules) > 1 and modules[-1].rank == 0:
         modules.pop()
-        if diffs:
-            diffs.pop()
+        rows.pop()
     res.modules = modules
-    res.diffs = diffs
+    res.rows = rows
 
 
 class BettiTable:

@@ -3,9 +3,10 @@
 counting, Krull dimension by a subset scan, S-pair closure, Buchberger over
 all pairs with no criterion, degreewise exactness by exact linear algebra,
 division by a linear scan of the basis, minimization that restarts its scan
-after every pivot, colon and Ext relations as the heads of a syzygy graph,
-saturation from a reduced basis of its own, the torsion annihilator
-contracted to k[t] by a block-order basis)."""
+after every pivot, the storage rule of a resolution's sparse rows, colon
+and Ext relations as the heads of a syzygy graph, saturation from a reduced
+basis of its own, the torsion annihilator contracted to k[t] by a
+block-order basis)."""
 
 from fiberfull import (
     GradedFreeModule,
@@ -188,12 +189,23 @@ def degree_slice_matrix(res, k, nu):
     field = ring.field
     for mon, comp in src_basis:
         row = [field.zero] * len(tgt_basis)
-        image = res.diffs[k][comp].mul_term(mon, 1)
-        for tcomp, poly in enumerate(image.components):
-            for m, c in poly.terms:
-                row[tgt_index[(m, tcomp)]] = c
+        for tcomp, target_row in enumerate(res.rows[k]):
+            if comp in target_row:
+                for m, c in target_row[comp].mul_term(mon, 1).terms:
+                    row[tgt_index[(m, tcomp)]] = c
         rows.append(row)
     return rows, len(src_basis), len(tgt_basis)
+
+
+def rows_are_sparse(res):
+    """Every differential has one row per basis element of its target, and
+    every stored entry is nonzero with a column key that indexes the source
+    basis."""
+    return len(res.rows) == len(res.modules) - 1 and all(
+        len(A) == res.modules[k].rank
+        and all(0 <= c < res.modules[k + 1].rank and not entry.is_zero()
+                for row in A for c, entry in row.items())
+        for k, A in enumerate(res.rows))
 
 
 def resolution_exact_in_degree(res, k, nu):
@@ -204,7 +216,7 @@ def resolution_exact_in_degree(res, k, nu):
     rows_k, src_k, _ = degree_slice_matrix(res, k - 1, nu)
     rank_k = matrix_rank(field, rows_k)
     kernel_dim = src_k - rank_k
-    if k < len(res.diffs):
+    if k < res.length:
         rows_next, _, _ = degree_slice_matrix(res, k, nu)
         image_dim = matrix_rank(field, rows_next)
     else:
@@ -247,8 +259,9 @@ def restart_minimize(res):
     lowest homological index first, then row-major."""
     ring = res.ring
     field = ring.field
-    mats = [[[col.components[row] for col in cols] for row in range(res.modules[k].rank)]
-            for k, cols in enumerate(res.diffs)]
+    zero = ring.zero()
+    mats = [[[row.get(c, zero) for c in range(res.modules[k + 1].rank)] for row in A]
+            for k, A in enumerate(res.rows)]
     twists = [list(m.twists) for m in res.modules]
 
     def unit_entry():
@@ -284,14 +297,13 @@ def restart_minimize(res):
             for row in mats[lvl - 1]:
                 del row[p]
     modules = [GradedFreeModule(ring, tuple(tw)) for tw in twists]
-    diffs = [[PolyVector(modules[k], tuple(row[c] for row in A)) for c in range(len(twists[k + 1]))]
-             for k, A in enumerate(mats)]
+    rows = [[{c: entry for c, entry in enumerate(row) if not entry.is_zero()} for row in A]
+            for A in mats]
     while len(modules) > 1 and modules[-1].rank == 0:
         modules.pop()
-        if diffs:
-            diffs.pop()
+        rows.pop()
     res.modules = modules
-    res.diffs = diffs
+    res.rows = rows
 
 
 def _syzygy_heads(vectors, twists, ambient, head_module, rank):

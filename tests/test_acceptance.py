@@ -113,11 +113,11 @@ def test_criterion_4_resolution_properties():
     bt = betti_table(cubic)
     assert depth_and_regularity(bt, 4) == (2, 1)
     for res in (koszul, cubic):
-        for cols in res.diffs:
-            for col in cols:
-                for entry in col.components:
-                    assert entry.is_zero() or not entry.is_constant()
-        for k in range(1, len(res.diffs) + 1):
+        for A in res.rows:
+            for row in A:
+                for entry in row.values():
+                    assert not entry.is_constant()
+        for k in range(1, res.length + 1):
             for nu in range(0, 6):
                 assert resolution_exact_in_degree(res, k, nu)
 

@@ -18,6 +18,7 @@ from fiberfull import (
 from fiberfull.ext import _ext_from_resolution
 from fiberfull.resolution import _schreyer_frame
 from fixtures import (
+    hypersurface_conic,
     ideal_from_strings,
     ring2,
     ring3,
@@ -87,6 +88,33 @@ def test_index_validation():
         local_cohomology_hilbert(S, -1, (0, 1))
     with pytest.raises(IndexError):
         local_cohomology_hilbert(S, 3, (0, 1))
+
+
+def test_empty_window_is_reported_as_given():
+    # every entry point taking a window rejects an empty one before any
+    # work, with the caller's bounds rather than those of the flipped window
+    # that the tables read Ext on
+    from fiberfull import (GradedFreeModule, InvalidArgumentError, TermOrder,
+                           fiber_hilbert_compare, hochster_hilbert, verify_degeneration)
+
+    conic = hypersurface_conic()
+    rank_zero = SubmodulePresentation(GradedFreeModule(conic.ring, ()), [])
+    (_, squarefree), = squarefree_presentations()[:1]
+    Rt = make_ring([1, 1, 1], True, names=["x", "y", "z"])
+    family = ideal_from_strings(Rt, ("x*z - t*y^2",))
+    calls = [
+        lambda w: local_cohomology_tables(conic, w),
+        lambda w: local_cohomology_hilbert(conic, 1, w),
+        lambda w: hochster_hilbert(squarefree, 1, w),
+        lambda w: hilbert_function(rank_zero, w),
+        lambda w: hilbert_function(conic, w),
+        lambda w: verify_degeneration(conic, TermOrder.lex(), w),
+        lambda w: fiber_hilbert_compare(family, ["generic", 0], w),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidArgumentError, match=r"^empty window \[5, 1\]$"):
+            call((5, 1))
+        call((1, 1))
 
 
 def test_parameter_ring_rejected():

@@ -13,6 +13,10 @@
     restarting reference, d o d = 0 and degreewise exactness on homogeneous
     ideals in three variables over GF(32003), and exactness of the
     resolution of a planted diagonal module specialized off its locus;
+  * the storage rule of a resolution's sparse rows (nonzero entries, column
+    keys inside the source) for the frame, the pruned resolution and the
+    specializations at t = 0 and t = 1 of the Groebner families of random
+    quadrics under grevlex and lex, which leave the family unchanged;
   * colon against its syzygy-graph reference and the two containments that
     define (U : h), on homogeneous ideals in three variables over GF(32003);
   * the paper's statements on planted diagonal modules over
@@ -48,6 +52,7 @@ from fiberfull import (
     PolyVector,
     QQ,
     SubmodulePresentation,
+    TermOrder,
     buchberger,
     colon,
     evaluate_parameter,
@@ -56,12 +61,14 @@ from fiberfull import (
     fiber_hilbert_compare,
     free_resolution,
     hochster_hilbert,
+    homogenize_omega,
     local_cohomology_tables,
     make_ring,
     module_kernel,
     monomials_of_degree,
     parameter_lcm,
     parameter_monic,
+    weight_vector_for,
 )
 from fiberfull.resolution import _schreyer_frame, specialize_resolution
 from helpers import (
@@ -70,6 +77,7 @@ from helpers import (
     reference_str,
     resolution_exact_in_degree,
     restart_minimize,
+    rows_are_sparse,
     vector_in_submodule,
 )
 
@@ -230,11 +238,29 @@ def test_resolution_routes(gens):
     reference = _schreyer_frame(U)
     restart_minimize(reference)
     assert res.modules == reference.modules
-    assert res.diffs == reference.diffs
+    assert res.rows == reference.rows
     assert res.check_complex()
     for k in range(1, res.length + 1):
         for nu in range(5):
             assert resolution_exact_in_degree(res, k, nu), (k, nu)
+
+
+# the Groebner families of random quadrics: their entries may vanish at t = 0
+@PROPERTY_SETTINGS
+@given(st.lists(homogeneous_polys(2, min_degree=2, max_terms=6), min_size=2, max_size=3),
+       st.sampled_from([TermOrder.grevlex(), TermOrder.lex()]))
+def test_resolution_rows_are_sparse(gens, order):
+    U = SubmodulePresentation.ideal(R, gens)
+    G = buchberger(U, order)
+    family = homogenize_omega(G, weight_vector_for(G))
+    res = free_resolution(family)
+    before = [[dict(row) for row in A] for A in res.rows]
+    resolutions = [_schreyer_frame(U), free_resolution(U), _schreyer_frame(family), res]
+    resolutions += [specialize_resolution(res, c) for c in (0, 1)]
+    assert res.rows == before
+    for out in resolutions:
+        assert rows_are_sparse(out)
+        assert out.check_complex()
 
 
 GB_RINGS = [make_ring([1, 1, 1], field=field, names=["x", "y", "z"]) for field in (QQ, GF(32003))]

@@ -13,10 +13,12 @@ from fiberfull import (
     buchberger,
     depth_and_regularity,
     free_resolution,
+    homogenize_omega,
     krull_dimension,
     make_ring,
+    weight_vector_for,
 )
-from fiberfull.resolution import _schreyer_frame
+from fiberfull.resolution import _schreyer_frame, specialize_resolution
 from fixtures import (
     ideal_from_strings,
     macaulay_suite,
@@ -25,7 +27,12 @@ from fixtures import (
     ring4,
     twisted_cubic,
 )
-from helpers import restart_minimize, resolution_exact_in_degree, vector_in_submodule
+from helpers import (
+    restart_minimize,
+    resolution_exact_in_degree,
+    rows_are_sparse,
+    vector_in_submodule,
+)
 
 
 def test_koszul_two_variables():
@@ -117,7 +124,7 @@ def test_d_squared_zero_and_exactness():
     for pres in (twisted_cubic(), ideal_from_strings(ring2(), ("x", "y"))):
         res = free_resolution(pres)
         assert res.check_complex()
-        for k in range(1, len(res.diffs) + 1):
+        for k in range(1, res.length + 1):
             for nu in range(0, 6):
                 assert resolution_exact_in_degree(res, k, nu)
 
@@ -133,18 +140,55 @@ def test_raw_schreyer_resolution_exact():
     for pres in cases:
         res = _schreyer_frame(pres)
         assert res.check_complex()
-        for k in range(1, len(res.diffs) + 1):
+        for k in range(1, res.length + 1):
             for nu in range(0, 7):
                 assert resolution_exact_in_degree(res, k, nu)
+
+
+def test_check_complex_rejects_a_perturbed_entry():
+    # doubling one entry of d_2 leaves d_1 d_2 nonzero, for every column of
+    # d_1 is a nonzero generator of the ideal
+    for pres in (twisted_cubic(), ideal_from_strings(ring2(), ("x", "y"))):
+        res = free_resolution(pres)
+        assert res.check_complex()
+        row = next(row for row in res.rows[1] if row)
+        c, entry = next(iter(row.items()))
+        row[c] = entry * 2
+        assert not res.check_complex()
+
+
+def test_rows_store_nonzero_entries_of_source_columns():
+    # the frame, the pruned resolution and the specializations at t = 0 and
+    # t = 1 of the Groebner families store no zero and no column outside
+    # the source; specializing leaves the family's rows as they were
+    vanished = 0
+    for pres in macaulay_suite(GF(32003))[19:]:
+        assert rows_are_sparse(_schreyer_frame(pres))
+        assert rows_are_sparse(free_resolution(pres))
+        for order in (TermOrder.grevlex(), TermOrder.lex()):
+            G = buchberger(pres, order)
+            family = homogenize_omega(G, weight_vector_for(G))
+            assert rows_are_sparse(_schreyer_frame(family))
+            res = free_resolution(family)
+            assert rows_are_sparse(res)
+            before = [[dict(row) for row in A] for A in res.rows]
+            for c in (0, 1):
+                assert rows_are_sparse(specialize_resolution(res, c))
+            assert res.rows == before
+            target = family.ring.without_parameter()
+            vanished += sum(entry.specialize_parameter(0, target).is_zero()
+                            for A in res.rows for row in A for entry in row.values())
+    # some family entries do vanish at t = 0, so the drop is exercised
+    assert vanished > 0
 
 
 def test_minimality_no_scalar_entries():
     for pres in (twisted_cubic(), ideal_from_strings(ring2(), ("x", "y", "x*y"))):
         res = free_resolution(pres)
-        for cols in res.diffs:
-            for col in cols:
-                for entry in col.components:
-                    assert entry.is_zero() or not entry.is_constant()
+        for A in res.rows:
+            for row in A:
+                for entry in row.values():
+                    assert not entry.is_constant()
 
 
 def test_beta0_counts_minimal_generators():
@@ -173,7 +217,7 @@ def test_one_sweep_meets_the_pivots_of_the_restart_scan():
             res = free_resolution(pres)
             assert res.minimal
             assert res.modules == reference.modules, pres.generators
-            assert res.diffs == reference.diffs, pres.generators
+            assert res.rows == reference.rows, pres.generators
 
 
 def _twist_polynomial(res):
