@@ -60,11 +60,8 @@ class TheoremViolationError(AlgebraError):
 class ParseError(AlgebraError):
     kind = "syntax"
 
-    def __init__(self, message, line=None, col=None):
-        if line is not None:
-            super().__init__("%s (line %d, column %d)" % (message, line, col))
-        else:
-            super().__init__(message)
+    def __init__(self, message, line, col):
+        super().__init__("%s (line %d, column %d)" % (message, line, col))
         self.message = message
         self.line = line
         self.col = col

@@ -206,7 +206,7 @@ def _report(certs, at):
     return FiberFullReport(at, module_free, module_cert, verdicts, overall)
 
 
-def fiber_full_check(pres, at=0):
+def fiber_full_check(pres, at):
     """Decide fiber-fullness of ambient/<gens> at the prime (t - at): the
     module and every Ext^i against the ambient ring, i = 0..r, must be
     torsion-free there, that is, no certificate annihilator vanishes at

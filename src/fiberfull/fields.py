@@ -36,7 +36,6 @@ def is_prime(n):
 
 
 class RationalField:
-    kind = "QQ"
     p = None
 
     zero = Fraction(0)
@@ -79,8 +78,6 @@ class RationalField:
 
 
 class PrimeField:
-    kind = "Fp"
-
     def __init__(self, p):
         if not isinstance(p, int) or not is_prime(p) or p >= 2**31:
             raise InvalidFieldError("characteristic must be a prime below 2^31, got %r" % (p,))

@@ -7,7 +7,10 @@ The engine works on "term vectors": lists of ``(key, (monomial, component),
 coefficient)`` sorted descending under the active module order.  Keys are
 precomputed order keys, so merging and comparisons never re-derive them;
 multiplying a term vector by a term adds the order's shift vector to its keys.
-Public entry points convert to and from :class:`PolyVector`.
+A marked element is a monic term vector: its first term is its lead, with
+coefficient one.  Term vectors stay inside this module; public entry points
+convert to and from :class:`PolyVector`, and the Schreyer frame leaves it as
+sparse rows of polynomials.
 
 Division looks up divisors in a "lead index": the basis positions grouped by
 the component of their leading term, in basis order within each group.  A
@@ -85,23 +88,28 @@ def _tv_mul_term(tv, mon, coeff, morder, field):
             for k, (m, comp), cf in tv]
 
 
-class _Marked:
-    """Monic basis element with cached leading data."""
-
-    __slots__ = ("tv", "lead_mm", "lead_key", "sugar")
-
-    def __init__(self, tv, lead_mm, lead_key):
-        self.tv = tv
-        self.lead_mm = lead_mm
-        self.lead_key = lead_key
-        self.sugar = None  # set by gb_engine, the only reader
+def _monic(tv, field):
+    """The marked form of a nonzero term vector: scaled to lead coefficient
+    one."""
+    coeff = tv[0][2]
+    return tv if coeff == field.one else _tv_scale(tv, field.inv(coeff), field)
 
 
-def _mark(tv, field):
-    key, mm, coeff = tv[0]
-    if coeff != field.one:
-        tv = _tv_scale(tv, field.inv(coeff), field)
-    return _Marked(tv, mm, key)
+def _spoly(a, b, morder, field):
+    """S-vector u_a * a - u_b * b of two marked elements whose leads share a
+    component, with the cofactors u = lcm / lead that cancel the leads."""
+    ma, mb = a[0][1][0], b[0][1][0]
+    lcm = mon_lcm(ma, mb)
+    ua, ub = mon_div(lcm, ma), mon_div(lcm, mb)
+    sp = _tv_add(_tv_mul_term(a, ua, field.one, morder, field),
+                 _tv_mul_term(b, ub, field.neg(field.one), morder, field), field)
+    return sp, ua, ub
+
+
+def _lead_degrees(marked, twists, ring):
+    """Degrees of homogeneous marked elements in a module with the given
+    twists, read off their leads."""
+    return tuple(ring.degree(b[0][1][0]) + twists[b[0][1][1]] for b in marked)
 
 
 def _lead_index(basis):
@@ -114,7 +122,7 @@ def _lead_index(basis):
 
 
 def _index_add(index, idx, b):
-    bm, bc = b.lead_mm
+    bm, bc = b[0][1]
     index.setdefault(bc, []).append((idx, bm, b))
 
 
@@ -139,7 +147,7 @@ def _tv_normal_form(tv, index, morder, field, quotients=None, skip=None):
             continue
         q = mon_div(m, bm)
         # b is monic, so its multiple cancels the term at pos exactly
-        scaled = _tv_mul_term(b.tv[1:], q, field.neg(coeff), morder, field)
+        scaled = _tv_mul_term(b[1:], q, field.neg(coeff), morder, field)
         work = _tv_add(work[pos + 1:], scaled, field)
         pos = 0
         if quotients is not None:
@@ -173,13 +181,8 @@ def gb_engine(tvs, morder, ring, twists):
     """
     field = ring.field
     rank = len(twists)
-
-    def mark(tv):
-        b = _mark(tv, field)
-        b.sugar = max(ring.degree(m) + twists[c] for _, (m, c), _ in b.tv)
-        return b
-
     basis = []
+    sugar = []  # sugar degree of each basis element
     index = {}
     heap = []
     pending = {}  # component -> {(i, j): lcm of the two leads}
@@ -187,16 +190,17 @@ def gb_engine(tvs, morder, ring, twists):
     def enter(b):
         n = len(basis)
         basis.append(b)
-        mn, comp = b.lead_mm
+        sugar.append(max(ring.degree(m) + twists[c] for _, (m, c), _ in b))
+        mn, comp = b[0][1]
         pairs = pending.setdefault(comp, {})
         for (i, j), lcm in list(pairs.items()):
-            if (mon_divides(mn, lcm) and lcm != mon_lcm(basis[i].lead_mm[0], mn)
-                    and lcm != mon_lcm(basis[j].lead_mm[0], mn)):
+            if (mon_divides(mn, lcm) and lcm != mon_lcm(basis[i][0][1][0], mn)
+                    and lcm != mon_lcm(basis[j][0][1][0], mn)):
                 del pairs[(i, j)]
-        single = len(b.tv) == 1
+        single = len(b) == 1
         candidates = []
         for i, mi, gi in index.get(comp, ()):
-            if single and len(gi.tv) == 1:
+            if single and len(gi) == 1:
                 continue
             coprime = rank == 1 and mon_is_one(mon_gcd(mi, mn))
             lcm = mon_lcm(mi, mn)
@@ -208,72 +212,57 @@ def gb_engine(tvs, morder, ring, twists):
                 continue
             kept.append(lcm)
             if nonzero:
-                gi = basis[i]
-                sugar = max(gi.sugar + ring.degree(mon_div(lcm, gi.lead_mm[0])),
-                            b.sugar + ring.degree(mon_div(lcm, mn)))
-                heapq.heappush(heap, (sugar, lcm_key, i, n))
+                s = max(sugar[i] + ring.degree(mon_div(lcm, basis[i][0][1][0])),
+                        sugar[n] + ring.degree(mon_div(lcm, mn)))
+                heapq.heappush(heap, (s, lcm_key, i, n))
                 pairs[(i, n)] = lcm
         _index_add(index, n, b)
 
-    for b in sorted((mark(tv) for tv in tvs if tv), key=lambda b: b.lead_key):
+    for b in sorted((_monic(tv, field) for tv in tvs if tv), key=lambda b: b[0][0]):
         enter(b)
 
     while heap:
         _, _, i, j = heapq.heappop(heap)
-        gi, gj = basis[i], basis[j]
-        (mi, comp), (mj, _) = gi.lead_mm, gj.lead_mm
-        lcm = pending[comp].pop((i, j), None)
-        if lcm is None:
+        if pending[basis[i][0][1][1]].pop((i, j), None) is None:
             continue
-        sp = _tv_add(
-            _tv_mul_term(gi.tv, mon_div(lcm, mi), field.one, morder, field),
-            _tv_mul_term(gj.tv, mon_div(lcm, mj), field.neg(field.one), morder, field),
-            field,
-        )
+        sp, _, _ = _spoly(basis[i], basis[j], morder, field)
         rem = _tv_normal_form(sp, index, morder, field)
         if rem:
-            enter(mark(rem))
+            enter(_monic(rem, field))
 
     return _interreduce(basis, morder, field)
 
 
 def _interreduce(basis, morder, field):
     """Minimalize leads, then tail-reduce; result is the unique reduced basis
-    sorted ascending by leading key."""
-    basis = sorted(basis, key=lambda b: b.lead_key)
+    sorted ascending by leading key.  No other minimal lead divides a lead,
+    so tail reduction keeps each element monic and in its place."""
     kept = []
     index = {}
-    for b in basis:
-        m, c = b.lead_mm
+    for b in sorted(basis, key=lambda b: b[0][0]):
+        m, c = b[0][1]
         if any(mon_divides(km, m) for _, km, _ in index.get(c, ())):
             continue
         _index_add(index, len(kept), b)
         kept.append(b)
-    out = []
-    for i, b in enumerate(kept):
-        red = _tv_normal_form(b.tv, index, morder, field, skip=i)
-        out.append(_mark(red, field))
-    out.sort(key=lambda b: b.lead_key)
-    return out
+    return [_tv_normal_form(b, index, morder, field, skip=i) for i, b in enumerate(kept)]
 
 
 class GroebnerBasis:
     """Reduced marked basis of a submodule of a graded free module.
 
-    Keeps the marked term vectors the engine produced (``marked``), so
+    Keeps the monic term vectors the engine produced (``marked``), so
     division and syzygies reuse their order keys; ``elements``, ``leads`` and
     the lead index used by division are derived from them once."""
 
-    __slots__ = ("module", "ring_order", "module_order", "marked", "elements", "leads",
-                 "_index")
+    __slots__ = ("module", "module_order", "marked", "elements", "leads", "_index")
 
-    def __init__(self, module, ring_order, module_order, marked):
+    def __init__(self, module, module_order, marked):
         self.module = module
-        self.ring_order = ring_order
         self.module_order = module_order
         self.marked = tuple(marked)
-        self.elements = tuple(_tv_to_vector(b.tv, module) for b in self.marked)
-        self.leads = tuple(b.lead_mm for b in self.marked)
+        self.elements = tuple(_tv_to_vector(b, module) for b in self.marked)
+        self.leads = tuple(b[0][1] for b in self.marked)
         self._index = _lead_index(self.marked)
 
     @property
@@ -284,7 +273,8 @@ class GroebnerBasis:
         return len(self.elements)
 
     def __repr__(self):
-        return "GroebnerBasis(%d elements, %s)" % (len(self.elements), self.ring_order.describe())
+        return "GroebnerBasis(%d elements, %s)" % (
+            len(self.elements), self.module_order.term_order.describe())
 
 
 def buchberger(pres, order=None):
@@ -295,7 +285,7 @@ def buchberger(pres, order=None):
     twists = pres.ambient.twists
     tvs = [_tv_from_vector(v, morder) for v in pres.generators]
     marked = gb_engine(tvs, morder, ring, twists)
-    return GroebnerBasis(pres.ambient, order, morder, marked)
+    return GroebnerBasis(pres.ambient, morder, marked)
 
 
 def normal_form(v, G):
@@ -323,72 +313,84 @@ def initial_module(G):
 # Schreyer syzygies
 
 
-def _schreyer_level(marked, morder, ring, parent_twists):
-    """Syzygies of a marked basis living in a module with the given twists.
+def _schreyer_level(marked, morder, ring, degrees):
+    """Syzygies of a marked basis whose elements have the given degrees.
 
-    Returns (marked syzygies, their order, degrees of the basis elements,
-    degrees of the syzygies); by Schreyer's theorem the syzygies are a
-    Groebner basis under the induced order with leading terms (lcm/lm_i) e_i.
+    Returns (marked syzygies, their order, their degrees); by Schreyer's
+    theorem the syzygies are a Groebner basis under the induced order with
+    leading terms (lcm/lm_i) e_i.  Every pair of elements whose leads share a
+    component gives one syzygy.
     """
     field = ring.field
-    leads = [b.lead_mm for b in marked]
-    element_degrees = tuple(
-        ring.degree(m) + parent_twists[c] for (m, c) in leads
-    )
+    leads = [b[0][1] for b in marked]
     sorder = SchreyerOrder(morder, leads)
     index = _lead_index(marked)
-    syz_twists = []
-    syz_marked = []
-    pairs = []
+    syz = []
     for i in range(len(marked)):
         for j in range(i + 1, len(marked)):
-            if leads[i][1] == leads[j][1]:
-                pairs.append((i, j))
-    for i, j in pairs:
-        mi, ci = leads[i]
-        mj, _ = leads[j]
-        lcm = mon_lcm(mi, mj)
-        ui = mon_div(lcm, mi)
-        uj = mon_div(lcm, mj)
-        sp = _tv_add(
-            _tv_mul_term(marked[i].tv, ui, field.one, morder, field),
-            _tv_mul_term(marked[j].tv, uj, field.neg(field.one), morder, field),
-            field,
-        )
-        quotients = {}
-        rem = _tv_normal_form(sp, index, morder, field, quotients)
-        if rem:
-            raise InvalidArgumentError("syzygy computation requires a Groebner basis")
-        coeffs = {(ui, i): field.one, (uj, j): field.neg(field.one)}
-        for idx, qterms in quotients.items():
-            for qm, qc in qterms:
-                key = (qm, idx)
-                cur = coeffs.get(key, field.zero)
-                coeffs[key] = field.sub(cur, qc)
-        tv = [
-            (sorder.key(m, c), (m, c), coeff)
-            for (m, c), coeff in coeffs.items()
-            if coeff != field.zero
-        ]
-        tv.sort(key=lambda t: t[0], reverse=True)
-        if not tv:
-            continue
-        syz_twists.append(ring.degree(lcm) + parent_twists[ci])
-        syz_marked.append(_mark(tv, field))
-        assert syz_marked[-1].lead_mm == (ui, i)
-    return syz_marked, sorder, element_degrees, tuple(syz_twists)
+            if leads[i][1] != leads[j][1]:
+                continue
+            sp, ui, uj = _spoly(marked[i], marked[j], morder, field)
+            quotients = {}
+            if _tv_normal_form(sp, index, morder, field, quotients):
+                raise InvalidArgumentError("syzygy computation requires a Groebner basis")
+            coeffs = {(ui, i): field.one, (uj, j): field.neg(field.one)}
+            for idx, qterms in quotients.items():
+                for qm, qc in qterms:
+                    key = (qm, idx)
+                    coeffs[key] = field.sub(coeffs.get(key, field.zero), qc)
+            tv = [
+                (sorder.key(m, c), (m, c), coeff)
+                for (m, c), coeff in coeffs.items()
+                if coeff != field.zero
+            ]
+            tv.sort(key=lambda t: t[0], reverse=True)
+            if not tv:
+                continue
+            syz.append(_monic(tv, field))
+            assert syz[-1][0][1] == (ui, i)
+    return syz, sorder, _lead_degrees(syz, degrees, ring)
+
+
+def _schreyer_levels(G):
+    """The Schreyer frame over a reduced basis G of homogeneous elements, one
+    level k >= 1 at a time: (twists of F_k, rows of d_k: F_k -> F_{k-1}),
+    where rows[r] maps each column c to the nonzero entry (r, c).
+
+    Each level is re-sorted so that leading monomials descend
+    lexicographically, component ascending on ties, before the next level is
+    formed; with that ordering the variable support of the induced leading
+    terms shrinks at every step, which keeps iterated syzygy chains short.
+    """
+    ring = G.ring
+    morder = G.module_order
+    rank = G.module.rank
+    marked, degrees = G.marked, _lead_degrees(G.marked, G.module.twists, ring)
+    while marked:
+        order = sorted(range(len(marked)),
+                       key=lambda i: (tuple(-e for e in marked[i][0][1][0]), marked[i][0][1][1]))
+        marked = [marked[i] for i in order]
+        degrees = tuple(degrees[i] for i in order)
+        # column c is the element marked[c]
+        rows = [{} for _ in range(rank)]
+        for c, b in enumerate(marked):
+            for _, (mon, comp), coeff in b:
+                rows[comp].setdefault(c, {})[mon] = coeff
+        yield degrees, [{c: Polynomial(ring, cs) for c, cs in row.items()} for row in rows]
+        rank = len(marked)
+        marked, morder, degrees = _schreyer_level(marked, morder, ring, degrees)
 
 
 def syzygies(G):
     """Generators of the syzygy module of a reduced basis, homogeneous for
     the induced twists (degree of each basis element)."""
     ring = G.ring
-    level, _, element_degrees, _ = _schreyer_level(
-        G.marked, G.module_order, ring, G.module.twists)
-    ambient = GradedFreeModule(ring, element_degrees)
+    degrees = _lead_degrees(G.marked, G.module.twists, ring)
+    level, _, _ = _schreyer_level(G.marked, G.module_order, ring, degrees)
+    ambient = GradedFreeModule(ring, degrees)
     # Schreyer-key term vectors sort differently from canonical form;
     # conversion re-sorts per component
-    vecs = [_tv_to_vector(b.tv, ambient) for b in level]
+    vecs = [_tv_to_vector(b, ambient) for b in level]
     return SubmodulePresentation(ambient, vecs)
 
 
@@ -415,8 +417,8 @@ def module_kernel(vectors, source_twists, ambient, modulo=()):
     tvs += [_tv_from_vector(u, morder) for u in modulo]
     marked = gb_engine(tvs, morder, ring, ambient.twists + tuple(source_twists))
     source = GradedFreeModule(ring, tuple(source_twists))
-    return [_tv_to_vector([(k, (m, c - f), cf) for k, (m, c), cf in b.tv], source)
-            for b in marked if b.lead_mm[1] >= f]
+    return [_tv_to_vector([(k, (m, c - f), cf) for k, (m, c), cf in b], source)
+            for b in marked if b[0][1][1] >= f]
 
 
 def colon(pres, h):

@@ -233,27 +233,21 @@ def hilbert_from_leads(ring, rank, twists, leads, window):
         if top < 0:
             continue
         gens = per_comp[comp]
-        if not ring.has_parameter:
-            counts = monomial_quotient_counts(weights, gens, top)
-            for d, c in enumerate(counts):
-                nu = d + shift
-                if lo <= nu <= hi and c:
-                    dims[nu] = dims.get(nu, 0) + c
-            continue
-        # parameter present: for a positive-degree monomial m the number of
-        # standard parameter powers is the least t-exponent among generators
-        # whose x-part divides m; sum over b of the quotients by the x-part
-        # ideals of generators with t-exponent <= b
-        tmax = max((g[r] for g in gens), default=0)
-        tail_counts = monomial_quotient_counts(weights, [g[:r] for g in gens], top)
-        if any(tail_counts[d] != 0 for d in range(max(0, lo - shift), top + 1)):
-            raise InfiniteDimensionError(
-                "quotient has infinite dimension per degree; specialize or "
-                "eliminate the parameter first")
-        for b in range(tmax):
-            level = [g[:r] for g in gens if g[r] <= b]
-            counts = monomial_quotient_counts(weights, level, top)
-            for d, c in enumerate(counts):
+        levels = [gens]
+        if ring.has_parameter:
+            # for a positive-degree monomial m the number of standard
+            # parameter powers is the least t-exponent among generators whose
+            # x-part divides m; sum over b of the quotients by the x-part
+            # ideals of generators with t-exponent <= b
+            tmax = max((g[r] for g in gens), default=0)
+            tail_counts = monomial_quotient_counts(weights, [g[:r] for g in gens], top)
+            if any(tail_counts[d] != 0 for d in range(max(0, lo - shift), top + 1)):
+                raise InfiniteDimensionError(
+                    "quotient has infinite dimension per degree; specialize or "
+                    "eliminate the parameter first")
+            levels = [[g[:r] for g in gens if g[r] <= b] for b in range(tmax)]
+        for level in levels:
+            for d, c in enumerate(monomial_quotient_counts(weights, level, top)):
                 nu = d + shift
                 if lo <= nu <= hi and c:
                     dims[nu] = dims.get(nu, 0) + c

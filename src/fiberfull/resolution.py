@@ -7,21 +7,16 @@ Over k[x] the result is the minimal resolution; over k[t][x] it is a free
 resolution that may keep degree-0 entries such as t - 1, so it carries no
 Betti table.
 
-A differential is stored as its sparse rows, filled from the syzygies'
-term vectors and pruned in place; read in F_{k+1}^* they are the columns
-of the transposed map that Ext and the local cohomology tables use.
-
-Each syzygy level is re-sorted so that leading monomials descend
-lexicographically before the next level is formed; with that ordering the
-variable support of the induced leading terms shrinks at every step, which
-keeps iterated syzygy chains short.
+A differential is stored as its sparse rows, which the Groebner engine
+hands over level by level and which are pruned in place; read in
+F_{k+1}^* they are the columns of the transposed map that Ext and the
+local cohomology tables use.
 """
 
 from .errors import InvalidArgumentError
-from .groebner import _schreyer_level, buchberger
+from .groebner import _schreyer_levels, buchberger
 from .hilbert import monomial_quotient_dimension
 from .modules import GradedFreeModule
-from .rings import Polynomial
 
 
 class Resolution:
@@ -63,16 +58,6 @@ class Resolution:
         return "Resolution(ranks=%s, minimal=%s)" % (self.ranks(), self.minimal)
 
 
-def _sorted_level(marked, twists):
-    """Sort marked elements (and their degrees) by descending lex on the
-    leading monomial, component ascending on ties."""
-    order = sorted(
-        range(len(marked)),
-        key=lambda i: (tuple(-e for e in marked[i].lead_mm[0]), marked[i].lead_mm[1]),
-    )
-    return [marked[i] for i in order], tuple(twists[i] for i in order)
-
-
 def free_resolution(pres):
     """The graded free resolution of ambient/<generators>: the Schreyer
     frame with the unit entries pruned.  It is minimal exactly when the ring
@@ -103,37 +88,13 @@ def specialize_resolution(res, c):
 
 def _schreyer_frame(pres):
     """The unminimized resolution by iterated Schreyer syzygies."""
-    ring = pres.ring
     for g in pres.generators:
         if not g.is_homogeneous():
             raise InvalidArgumentError("resolution requires homogeneous generators")
-    F0 = pres.ambient
-    G = buchberger(pres)
-    if len(G) == 0:
-        return Resolution([F0], [], False)
-
-    morder = G.module_order
-    twists = tuple(v.degree() for v in G.elements)
-    marked, twists = _sorted_level(G.marked, twists)
-
-    modules = [F0]
-    rows = []
-    parent_twists = F0.twists
-    while marked:
-        # column c is the syzygy marked[c]
-        level = [{} for _ in range(modules[-1].rank)]
-        for c, b in enumerate(marked):
-            for _, (mon, comp), coeff in b.tv:
-                level[comp].setdefault(c, {})[mon] = coeff
-        rows.append([{c: Polynomial(ring, cs) for c, cs in row.items()} for row in level])
-        modules.append(GradedFreeModule(ring, twists))
-        syz_marked, morder, _, syz_twists = _schreyer_level(
-            marked, morder, ring, parent_twists)
-        if not syz_marked:
-            break
-        parent_twists = twists
-        marked, twists = _sorted_level(syz_marked, syz_twists)
-
+    modules, rows = [pres.ambient], []
+    for twists, level in _schreyer_levels(buchberger(pres)):
+        modules.append(GradedFreeModule(pres.ring, twists))
+        rows.append(level)
     return Resolution(modules, rows, False)
 
 

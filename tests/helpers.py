@@ -25,7 +25,8 @@ from fiberfull.ext import _dual_columns
 from fiberfull.groebner import (
     _index_add,
     _interreduce,
-    _mark,
+    _monic,
+    _spoly,
     _tv_add,
     _tv_mul_term,
     _tv_normal_form,
@@ -142,29 +143,24 @@ def all_pairs_engine(tvs, morder, ring, twists):
     ``gb_engine`` does.  Takes the arguments of ``gb_engine``, so it can
     stand in for it."""
     field = ring.field
-    one, minus_one = field.one, field.neg(field.one)
     basis = []
     index = {}
     queue = []
 
     def enter(b):
-        queue.extend((i, len(basis)) for i, a in enumerate(basis) if a.lead_mm[1] == b.lead_mm[1])
+        queue.extend((i, len(basis)) for i, a in enumerate(basis) if a[0][1][1] == b[0][1][1])
         _index_add(index, len(basis), b)
         basis.append(b)
 
     for tv in tvs:
         if tv:
-            enter(_mark(tv, field))
+            enter(_monic(tv, field))
     while queue:
         i, j = queue.pop(0)
-        (mi, _), (mj, _) = basis[i].lead_mm, basis[j].lead_mm
-        lcm = mon_lcm(mi, mj)
-        sp = _tv_add(_tv_mul_term(basis[i].tv, mon_div(lcm, mi), one, morder, field),
-                     _tv_mul_term(basis[j].tv, mon_div(lcm, mj), minus_one, morder, field),
-                     field)
+        sp, _, _ = _spoly(basis[i], basis[j], morder, field)
         rem = _tv_normal_form(sp, index, morder, field)
         if rem:
-            enter(_mark(rem, field))
+            enter(_monic(rem, field))
     return _interreduce(basis, morder, field)
 
 
@@ -239,7 +235,7 @@ def linear_scan_division(tv, basis, morder, field, skip=None):
     while pos < len(work):
         _, (m, comp), coeff = work[pos]
         for idx, b in enumerate(basis):
-            bm, bc = b.lead_mm
+            bm, bc = b[0][1]
             if idx != skip and bc == comp and mon_divides(bm, m):
                 break
         else:
@@ -247,7 +243,7 @@ def linear_scan_division(tv, basis, morder, field, skip=None):
             pos += 1
             continue
         q = mon_div(m, bm)
-        work = _tv_add(work[pos:], _tv_mul_term(b.tv, q, field.neg(coeff), morder, field), field)
+        work = _tv_add(work[pos:], _tv_mul_term(b, q, field.neg(coeff), morder, field), field)
         pos = 0
         quotients.setdefault(idx, []).append((q, coeff))
     return out, quotients

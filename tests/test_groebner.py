@@ -306,7 +306,7 @@ def test_lead_index_division_matches_linear_scan(monkeypatch):
     # divisors as a scan of the whole basis
     from fiberfull import GradedFreeModule, PolyVector, module_kernel
     from fiberfull import groebner
-    from fiberfull.groebner import _lead_index, _mark, _tv_from_vector, _tv_normal_form
+    from fiberfull.groebner import _lead_index, _monic, _tv_from_vector, _tv_normal_form
 
     R = ring4(GF(32003))
     field = R.field
@@ -329,14 +329,14 @@ def test_lead_index_division_matches_linear_scan(monkeypatch):
     monkeypatch.setattr(groebner, "gb_engine", recording_engine)
     assert len(module_kernel(columns, (2,) * 6, ambient=K1)) == 4
     (tvs, morder, twists, reduced), = calls
-    graph = [_mark(tv, field) for tv in tvs]
+    graph = [_monic(tv, field) for tv in tvs]
     combined = GradedFreeModule(R, twists)
     rng = random.Random(11)
     vectors = [_tv_from_vector(PolyVector(combined, tuple(
         rand_poly(rng, R, max_terms=3, max_exp=2) for _ in twists)), morder) for _ in range(6)]
-    vectors += [b.tv for b in graph]
+    vectors += graph
     for basis in (graph, reduced):
-        assert len({b.lead_mm[1] for b in basis}) >= 3
+        assert len({b[0][1][1] for b in basis}) >= 3
         index = _lead_index(basis)
         for tv in vectors:
             for skip in [None] + list(range(len(basis))):

@@ -245,6 +245,28 @@ def test_pruned_resolution_over_parameter_ring(name):
     assert _twist_polynomial(res) == _twist_polynomial(frame)
 
 
+def _graded_of_degree_zero(res):
+    """Every stored entry (r, c) of d_{k+1} is homogeneous of degree
+    twist c of F_{k+1} minus twist r of F_k."""
+    return all(entry.degrees() == [res.modules[k + 1].twists[c] - res.modules[k].twists[r]]
+               for k, A in enumerate(res.rows)
+               for r, row in enumerate(A) for c, entry in row.items())
+
+
+def test_differentials_are_graded_of_degree_zero():
+    # the frame's twists are read off the leads; every entry must agree
+    for field in (QQ, GF(32003)):
+        for pres in macaulay_suite(field):
+            assert _graded_of_degree_zero(_schreyer_frame(pres)), pres.generators
+            assert _graded_of_degree_zero(free_resolution(pres)), pres.generators
+    for name, pres in PARAMETER_FAMILIES.items():
+        assert _graded_of_degree_zero(_schreyer_frame(pres)), name
+        res = free_resolution(pres)
+        assert _graded_of_degree_zero(res), name
+        for c in (0, 1):
+            assert _graded_of_degree_zero(specialize_resolution(res, c)), (name, c)
+
+
 def test_nonminimal_resolution_rejected_by_betti():
     P = twisted_cubic()
     res = _schreyer_frame(P)
