@@ -47,7 +47,7 @@ from .groebner import (
 from .hilbert import HilbertTable, monomials_of_degree
 from .hochster import hochster_hilbert
 from .modules import GradedFreeModule, PolyVector, SubmodulePresentation
-from .orders import EQ, GT, LT, TermOrder, TOPOrder, compare_monomials, order_from_string
+from .orders import TermOrder, TOPOrder, order_from_string
 from .parser import ProblemSpec, parse_input, parse_polynomial
 from .resolution import (
     BettiTable,

@@ -11,9 +11,12 @@ the torsion submodule and a monic annihilator in k[t]:
     a single polynomial h(t), the least common multiple of the parameter
     coefficients of the leading positive-degree terms of the reduced basis;
   * the certificate polynomial generates the contraction to k[t] of the
-    annihilator of the torsion generators.  t has degree 0, so grevlex
-    ranks every monomial containing an x above every power of t: a reduced
-    basis eliminates x, and one basis per module serves every step.
+    annihilator of the torsion generators.  The module order ranks the
+    positive-degree part of a term first, then its position, then its power
+    of t (``orders.TOPOrder``), so every x-module term m*e_c sits above each
+    t-multiple of a smaller one: the lead of a basis element is its leading
+    x-module term, which is what generic freeness reads, and one basis per
+    module serves every step.
 
 A module is fiber-full at (t - c) when neither the module itself nor any of
 Ext^0..Ext^r against the ambient polynomial ring has torsion there.  These
@@ -21,11 +24,13 @@ certificates do not depend on c, so they are computed once per module, the
 Ext modules read off its one resolution: a check at (t - c) evaluates their
 annihilators at c, and the locus polynomial is the monic lcm of the
 annihilators; its nonvanishing set is exactly the set of good fibers.  The
-certificates of the last presentation checked are kept (one entry), so the
-locus followed by checks at several points computes them once.
+certificates of the last presentation checked are kept
+(``functools.lru_cache`` of one entry), so the locus followed by checks at
+several points computes them once.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import InvalidArgumentError, TheoremViolationError
 from .ext import _ext_from_resolution, _tables_from_resolution, local_cohomology_tables
@@ -40,7 +45,7 @@ from .groebner import (
     weight_vector_for,
 )
 from .hilbert import check_window
-from .modules import GradedFreeModule, PolyVector, SubmodulePresentation, last_presentation
+from .modules import GradedFreeModule, PolyVector, SubmodulePresentation
 from .resolution import betti_table, depth_and_regularity, free_resolution, specialize_resolution
 from .rings import Polynomial, evaluate_parameter, parameter_lcm
 
@@ -68,7 +73,8 @@ class TorsionCertificate:
 
 def _leading_parameter_content(G):
     """lcm over the basis of the parameter coefficient of each element's
-    leading positive-degree monomial (the order ranks x above t)."""
+    leading x-module term (the module order ranks x and the position above
+    t)."""
     ring = G.ring
     r = ring.num_positive
     xzero = (0,) * r
@@ -113,11 +119,13 @@ def parameter_torsion(pres):
 
 def _torsion_annihilator(G, torsion):
     """Monic generator of {p in k[t] : p * w in <relations> for all torsion
-    generators w}: the lcm over w of the contraction to k[t] of the kernel
-    of p -> p * w modulo the relations.  Each kernel is a reduced grevlex
-    basis, which eliminates x: its one element in k[t] is monic."""
+    generators w}: the lcm over distinct w of the contraction to k[t] of the
+    kernel of p -> p * w modulo the relations.  Each kernel is an ideal, and
+    in rank one the module order is grevlex, which ranks every monomial
+    containing an x above every power of t: its reduced basis has one
+    element in k[t], and that element is monic."""
     g = G.ring.one()
-    for w in torsion:
+    for w in dict.fromkeys(torsion):
         ann = module_kernel([w], (0,), ambient=G.module, modulo=G.elements)
         polys = [v.components[0] for v in ann if v.components[0].is_parameter_only()]
         if not polys:
@@ -188,7 +196,7 @@ def _certificates(pres, res):
     return module_cert, tuple(ext_certs)
 
 
-@last_presentation
+@lru_cache(maxsize=1)
 def _module_certificates(pres):
     """The certificates of a module over a parameter ring, from its one
     resolution; those of the last module asked about are kept."""

@@ -5,6 +5,7 @@ plain ints in ``0..p-1``; the field object supplies the modular arithmetic.
 """
 
 from fractions import Fraction
+from functools import cache
 
 from .errors import InvalidFieldError
 
@@ -129,11 +130,7 @@ class PrimeField:
 
 QQ = RationalField()
 
-_gf_cache = {}
-
-
+@cache
 def GF(p):
     """The prime field with p elements (cached)."""
-    if p not in _gf_cache:
-        _gf_cache[p] = PrimeField(p)
-    return _gf_cache[p]
+    return PrimeField(p)

@@ -97,12 +97,14 @@ def _monic(tv, field):
 
 def _spoly(a, b, morder, field):
     """S-vector u_a * a - u_b * b of two marked elements whose leads share a
-    component, with the cofactors u = lcm / lead that cancel the leads."""
+    component, with the cofactors u = lcm / lead that cancel the leads.  Both
+    are monic, so the leads cancel exactly and only the tails are
+    multiplied."""
     ma, mb = a[0][1][0], b[0][1][0]
     lcm = mon_lcm(ma, mb)
     ua, ub = mon_div(lcm, ma), mon_div(lcm, mb)
-    sp = _tv_add(_tv_mul_term(a, ua, field.one, morder, field),
-                 _tv_mul_term(b, ub, field.neg(field.one), morder, field), field)
+    sp = _tv_add(_tv_mul_term(a[1:], ua, field.one, morder, field),
+                 _tv_mul_term(b[1:], ub, field.neg(field.one), morder, field), field)
     return sp, ua, ub
 
 

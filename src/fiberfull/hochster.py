@@ -9,13 +9,13 @@ depend on the index i or the window; it is computed once per complex, and
 that of the last presentation asked about is kept (one entry).
 """
 
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import InvalidArgumentError
 from .groebner import is_squarefree
 from .hilbert import HilbertTable, check_window
 from .linalg import matrix_rank
-from .modules import last_presentation
 
 
 def complex_from_squarefree(pres):
@@ -118,7 +118,7 @@ def _negative_support_counts(weights, target):
     return rec(0, total)
 
 
-@last_presentation
+@lru_cache(maxsize=1)
 def _link_cohomology(pres):
     """(face, reduced cohomology dimensions of its link) for every face of
     the complex of a square-free monomial quotient, the face sorted."""

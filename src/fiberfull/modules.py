@@ -5,8 +5,6 @@ A ``GradedFreeModule`` is a direct sum of twisted copies of the ring; the
 presentation, a submodule or the quotient by it, including each Ext module,
 is a ``SubmodulePresentation``: ambient free module plus homogeneous
 generators.  ``relations`` is the quotient-side name of the generators.
-``last_presentation`` keeps a function's value on the last presentation it
-was asked about.
 """
 
 from .errors import InvalidArgumentError, RingMismatchError
@@ -172,27 +170,8 @@ class SubmodulePresentation:
             and self.generators == other.generators
         )
 
+    def __hash__(self):
+        return hash((self.ambient, self.generators))
+
     def __repr__(self):
         return "SubmodulePresentation(rank=%d, gens=%d)" % (self.ambient.rank, len(self.generators))
-
-
-class last_presentation:
-    """Wraps ``compute(pres)`` with a memo of one entry: the last presentation
-    computed and its value.  A lookup matches by ``SubmodulePresentation``
-    equality (ring, field, names, twists, generators).  The entry is
-    replaced in one assignment once ``compute`` has returned, so an
-    exception or an alarm raised inside it leaves no partial entry."""
-
-    __slots__ = ("compute", "entry")
-
-    def __init__(self, compute):
-        self.compute = compute
-        self.entry = None  # (presentation, value)
-
-    def __call__(self, pres):
-        entry = self.entry
-        if entry is not None and entry[0] == pres:
-            return entry[1]
-        value = self.compute(pres)
-        self.entry = (pres, value)
-        return value

@@ -11,15 +11,15 @@ entrywise sum instead of re-deriving them.
 Module monomials are pairs ``(monomial, component)``.  Each module order
 has ``key(mon, comp)`` and ``shift(mon)``, the vector adding which to
 ``key(m, c)`` gives ``key(m * mon, c)``.  The standing module order is
-term-over-position (lower component index wins ties); syzygy levels use the
-order induced by the leading terms of a marked basis, which is what makes
-iterated syzygy computation canonical.
+term-over-position (lower component index wins ties), with the parameter
+exponent ranked after the position, so that x-module terms m*e_c are
+compared before powers of t; syzygy levels use the order induced by the
+leading terms of a marked basis, which is what makes iterated syzygy
+computation canonical.
 """
 
 from .errors import InvalidArgumentError, OrderMismatchError
 from .rings import mon_mul
-
-LT, EQ, GT = -1, 0, 1
 
 
 class TermOrder:
@@ -30,7 +30,9 @@ class TermOrder:
     every monomial containing an x-variable sits above every power of t and
     grevlex eliminates x over k[t].  ``block-x-over-t`` names the same order
     in the input grammar and takes grevlex's key.  A weight-refined order
-    breaks weight ties by grevlex.
+    breaks weight ties by grevlex.  Over a ring with a parameter every key
+    ends with the parameter exponent alone; ``TOPOrder`` puts the position
+    just before it.
     """
 
     __slots__ = ("kind", "omega")
@@ -113,30 +115,30 @@ def order_from_string(text):
     raise InvalidArgumentError("unknown term order %r" % text)
 
 
-def compare_monomials(ring, order, a, b):
-    """Total multiplicative comparison; returns LT, EQ or GT."""
-    ka, kb = order.key(ring, a), order.key(ring, b)
-    if ka < kb:
-        return LT
-    if ka > kb:
-        return GT
-    return EQ
-
-
 class TOPOrder:
-    """Term over position: ring order first, lower component wins ties."""
+    """Term over position: the positive-degree part of the ring order first,
+    then the position (lower component wins ties), then the parameter
+    exponent.  Within one component this is the ring order; across
+    components an x-module term m*e_c outranks every t-multiple of a smaller
+    one, so a reduced basis of a module over k[t][x] is led by its x-module
+    terms, as it is for an ideal."""
 
-    __slots__ = ("ring", "term_order")
+    __slots__ = ("ring", "term_order", "_head", "_tail")
 
     def __init__(self, ring, term_order):
         self.ring = ring
         self.term_order = term_order
+        # the slices of a term key before and after the position
+        self._head, self._tail = ((slice(-1), slice(-1, None)) if ring.has_parameter
+                                  else (slice(None), slice(0)))
 
     def key(self, mon, comp):
-        return (*self.term_order.key(self.ring, mon), -comp)
+        k = self.term_order.key(self.ring, mon)
+        return (*k[self._head], -comp, *k[self._tail])
 
     def shift(self, mon):
-        return (*self.term_order.key(self.ring, mon), 0)
+        k = self.term_order.key(self.ring, mon)
+        return (*k[self._head], 0, *k[self._tail])
 
 
 class SchreyerOrder:
@@ -158,19 +160,19 @@ class SchreyerOrder:
         return (*self.parent.shift(mon), 0)
 
 
-class BlockTOPOrder:
+class BlockTOPOrder(TOPOrder):
     """Elimination order on components: the first ``split`` components sit
-    above the rest; within each block, term over position."""
+    above the rest; within each block, term over position.  The key is the
+    block flag in front of the ``TOPOrder`` key."""
 
-    __slots__ = ("ring", "term_order", "split")
+    __slots__ = ("split",)
 
     def __init__(self, ring, term_order, split):
-        self.ring = ring
-        self.term_order = term_order
+        super().__init__(ring, term_order)
         self.split = split
 
     def key(self, mon, comp):
-        return (1 if comp < self.split else 0, *self.term_order.key(self.ring, mon), -comp)
+        return (1 if comp < self.split else 0, *TOPOrder.key(self, mon, comp))
 
     def shift(self, mon):
-        return (0, *self.term_order.key(self.ring, mon), 0)
+        return (0, *TOPOrder.shift(self, mon))

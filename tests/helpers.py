@@ -6,7 +6,9 @@ division by a linear scan of the basis, minimization that restarts its scan
 after every pivot, the storage rule of a resolution's sparse rows, colon
 and Ext relations as the heads of a syzygy graph, saturation from a reduced
 basis of its own, the torsion annihilator contracted to k[t] by a
-block-order basis)."""
+block-order basis, the k[t]-torsion of Ext^i read off the cokernel of the
+transposed differential, the parameter values at which a fiber's graded
+pieces jump)."""
 
 from fiberfull import (
     GradedFreeModule,
@@ -15,11 +17,13 @@ from fiberfull import (
     TermOrder,
     buchberger,
     colon,
+    hilbert_function,
     make_ring,
     module_kernel,
     monomials_of_degree,
     normal_form,
     parameter_monic,
+    specialize_presentation,
 )
 from fiberfull.ext import _dual_columns
 from fiberfull.groebner import (
@@ -374,3 +378,27 @@ def contraction_annihilator(G, torsion):
     contracted = [v.components[0] for v in buchberger(ideal, TermOrder.block_x_over_t()).elements
                   if all(not any(mon[:r]) for mon, _ in v.components[0].terms)]
     return parameter_monic(contracted[0])
+
+
+def transposed_cokernel(res, i):
+    """coker d_i^T, the dual of F_i modulo the columns of the transposed
+    differential (F_0^* itself for i = 0), for 0 <= i <= the length.  Ext^i
+    is the submodule ker d_{i+1}^T / im d_i^T of it, and the quotient
+    F_i^*/ker d_{i+1}^T embeds in the free F_{i+1}^*, so both have the same
+    k[t]-torsion, hence the same torsion annihilator."""
+    return SubmodulePresentation(res.modules[i].dual(), _dual_columns(res, i) if i else [])
+
+
+def fiber_jumps(pres, points, window):
+    """The points c among ``points`` at which some graded piece in the
+    window of the module presented by ``pres``, specialized at t = c, is
+    larger than the least such piece over all the points.  Each piece M_d is
+    a finitely generated k[t]-module, whose fiber at c exceeds its rank by
+    the number of its (t - c)-primary summands; with more points than
+    torsion roots the least piece is the rank, so these are the points at
+    which M has torsion in a degree of the window."""
+    lo, hi = window
+    dims = [hilbert_function(specialize_presentation(pres, c), window).dims for c in points]
+    generic = {nu: min(d.get(nu, 0) for d in dims) for nu in range(lo, hi + 1)}
+    return {c for c, d in zip(points, dims)
+            if any(d.get(nu, 0) > generic[nu] for nu in range(lo, hi + 1))}

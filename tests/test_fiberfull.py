@@ -20,6 +20,7 @@ from fiberfull import (
     fiber_hilbert_compare,
     free_resolution,
     make_ring,
+    monomials_of_degree,
     parameter_lcm,
     parameter_monic,
     parameter_torsion,
@@ -42,7 +43,13 @@ from fixtures import (
     squarefree_presentations,
     twisted_cubic,
 )
-from helpers import buchberger_saturate, contraction_annihilator, vector_in_submodule
+from helpers import (
+    buchberger_saturate,
+    contraction_annihilator,
+    fiber_jumps,
+    transposed_cokernel,
+    vector_in_submodule,
+)
 
 
 def _line_ring():
@@ -196,7 +203,7 @@ def _count_torsion_calls(monkeypatch, fail_first=False):
     ``fail_first`` the first call raises."""
     import fiberfull.fiberfull
 
-    monkeypatch.setattr(fiberfull.fiberfull._module_certificates, "entry", None)
+    fiberfull.fiberfull._module_certificates.cache_clear()
     real = fiberfull.fiberfull.parameter_torsion
     calls = []
 
@@ -278,10 +285,11 @@ def test_certificate_memo_keeps_no_entry_after_an_error(monkeypatch):
     pres = PARAMETER_FAMILIES["ideal-B"]
     with pytest.raises(RuntimeError):
         fiber_full_locus(pres)
-    assert fiberfull.fiberfull._module_certificates.entry is None
+    assert fiberfull.fiberfull._module_certificates.cache_info().currsize == 0
     expected = _certificates(pres, free_resolution(pres))
     assert fiber_full_check(pres, at=2) == _report(expected, 2)
-    assert fiberfull.fiberfull._module_certificates.entry[1] == expected
+    assert fiberfull.fiberfull._module_certificates.cache_info().currsize == 1
+    assert fiberfull.fiberfull._module_certificates(pres) == expected
     assert len(calls) == 1 + 2 * (pres.ring.num_positive + 2)
 
 
@@ -347,6 +355,93 @@ def test_certificates_match_their_reference_routes():
             assert cert.annihilator == contraction_annihilator(G, cert.torsion_generators)
             torsion_cases += 1
     assert torsion_cases >= 10
+
+
+def test_ext_torsion_in_rank_two_is_found():
+    # y*e_3^* lies in ker d_3^T, and (t + 3) * y*e_3^* lies in im d_2^T: a
+    # torsion class of Ext^2, which is presented in rank 4.  A module order
+    # that ranks t above the position misses it
+    R = make_ring([1, 1, 1], True, field=GF(32003), names=["x", "y", "z"])
+    pres = ideal_from_strings(R, ("(t-2)*x + (t+3)*y", "x*z", "x^2"))
+    report = fiber_full_check(pres, at=-3)
+    ext2 = report.verdicts[2]
+    assert not ext2.free_over_base
+    assert str(ext2.certificate.annihilator) == "t + 3"
+    assert [str(w) for w in ext2.certificate.torsion_generators] == ["(0, 0, 0, y)"]
+
+
+def _parameter_coefficient(rng, R):
+    c = R.constant(rng.choice((1, 1, 2, -1)))
+    return c if rng.random() < 0.45 else c * (R.parameter() - R.constant(rng.randrange(-3, 4)))
+
+
+def _parameter_form(rng, R, degree, terms):
+    """Sum of ``terms`` distinct monomials of the degree, each with a
+    coefficient c or c * (t - a)."""
+    mons = monomials_of_degree(R.without_parameter(), degree)
+    p = R.zero()
+    for m in rng.sample(mons, min(terms, len(mons))):
+        p = p + _parameter_coefficient(rng, R) * R.poly([(m + (0,), 1)])
+    return p
+
+
+def _seeded_parameter_presentations():
+    """Forty seeded presentations over k[t][x,y,z], over QQ for an even
+    seed and GF(32003) for an odd one: ideals of a linear form and one to
+    three quadrics, and presentations of rank 2 and 3 whose generators each
+    draw a nonzero entry for a component with probability 0.7, so most are
+    not diagonal."""
+    for seed in range(200, 240):
+        rng = random.Random(seed)
+        R = make_ring([1, 1, 1], True, field=GF(32003) if seed % 2 else QQ,
+                      names=["x", "y", "z"])
+        rank = rng.choice((1, 1, 2, 3))
+        twists = tuple(sorted(rng.choice((0, 0, 1)) for _ in range(rank)))
+        amb = GradedFreeModule(R, twists)
+        if rank == 1:
+            forms = [_parameter_form(rng, R, 1, 2)]
+            forms += [_parameter_form(rng, R, 2, 1) for _ in range(rng.randint(1, 2))]
+            if rng.random() < 0.5:
+                forms.append(_parameter_form(rng, R, 2, 2))
+            gens = [PolyVector(amb, [f]) for f in forms]
+        else:
+            top = max(twists) + 1
+            gens = [PolyVector(amb, [_parameter_form(rng, R, top - tw, 1) if rng.random() < 0.7
+                                     else R.zero() for tw in twists])
+                    for _ in range(rng.randint(rank, rank + 1))]
+        yield SubmodulePresentation(amb, gens)
+
+
+def test_ext_torsion_equals_that_of_the_transposed_cokernel():
+    nonunit = 0
+    for pres in _seeded_parameter_presentations():
+        res = free_resolution(pres)
+        for i in range(res.length + 1):
+            ann = parameter_torsion(_ext_from_resolution(res, i)).annihilator
+            assert ann == parameter_torsion(transposed_cokernel(res, i)).annihilator, (pres, i)
+            nonunit += not ann.is_constant()
+    assert nonunit >= 10
+
+
+def test_certificate_roots_are_the_fiber_jumps():
+    # the window holds every degree of the presentation and of the torsion
+    # generators, so a root of the annihilator shows as a jump there
+    points = range(-4, 6)
+    jumps = 0
+    for pres in _seeded_parameter_presentations():
+        res = free_resolution(pres)
+        for module in [pres] + [_ext_from_resolution(res, i) for i in range(res.length + 1)]:
+            if not module.ambient.rank:
+                continue
+            cert = parameter_torsion(module)
+            degrees = ([w.degree() for w in cert.torsion_generators] + list(module.ambient.twists)
+                       + [g.degree() for g in module.generators])
+            roots = {c for c in points
+                     if evaluate_parameter(cert.annihilator, c) == module.ring.field.zero}
+            assert fiber_jumps(module, points, (min(degrees), max(degrees) + 1)) == roots, (
+                pres, cert.annihilator)
+            jumps += len(roots)
+    assert jumps >= 10
 
 
 def test_torsion_annihilator_needs_torsion():

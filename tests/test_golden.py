@@ -47,6 +47,12 @@ WEIGHTED_QQ = (
     "ring S vars (x,y,z) weights (1,2,3) field QQ;\n"
     "ideal I = (x^2*y - 1/2*x*z, y^3 - 2/3*z^2, x^4*y + 5/7*y^3 - x*y*z);\n"
 )
+# Ext^2 is presented in rank 4 and has (t + 3)-torsion, y*e_3^*: the module
+# order must rank the position above the parameter exponent to find it
+RANK_TWO_EXT = (
+    "ring R vars (x,y,z) weights (1,1,1) field Fp 32003 param t;\n"
+    "ideal M = ((t-2)*x + (t+3)*y, x*z, x^2);\n"
+)
 
 # (test id, input, arguments, sha256 of stdout).  The two checks of
 # LOCUS_INPUT pin certificates whose Ext annihilator is not constant
@@ -73,6 +79,8 @@ GOLDEN = [
      "4cd921546563214fee6fe2b507d377a8dd4e19d617b01cc05b07c30dcce7978b"),
     ("resolve-weighted", WEIGHTED_QQ, ["resolve"],
      "17e4dbd8896516a0daa7a8deec2595fe98d54f820a3accdc3b1b35ea9b7a3eb7"),
+    ("fiberfull-rank-two-ext", RANK_TWO_EXT, ["fiberfull", "--at", "-3"],
+     "3d4949d38aa473a3f59ee3291cc089e7a035d3556f265e2f6151f674baa9dac7"),
 ]
 
 

@@ -81,7 +81,7 @@ def test_oracle_agreement_over_prime_field():
 def test_link_cohomology_is_computed_once_per_face(monkeypatch):
     # every index i reads the same link cohomology; the memo slot starts
     # empty, so the count does not depend on what ran before
-    monkeypatch.setattr(fiberfull.hochster._link_cohomology, "entry", None)
+    fiberfull.hochster._link_cohomology.cache_clear()
     real = fiberfull.hochster.reduced_cohomology_dims
     calls = []
 

@@ -2,7 +2,7 @@
 
 import random
 
-from fiberfull import EQ, GT, LT, TermOrder, compare_monomials, make_ring
+from fiberfull import TermOrder, make_ring
 from fiberfull.rings import mon_mul
 from helpers import rand_monomial
 
@@ -11,9 +11,10 @@ def test_grevlex_vs_lex_on_xz_y2():
     R = make_ring([1, 1, 1], names=["x", "y", "z"])
     xz = (1, 0, 1)
     y2 = (0, 2, 0)
-    assert compare_monomials(R, TermOrder.grevlex(), xz, y2) == LT
-    assert compare_monomials(R, TermOrder.lex(), xz, y2) == GT
-    assert compare_monomials(R, TermOrder.grevlex(), xz, xz) == EQ
+    grevlex, lex = TermOrder.grevlex(), TermOrder.lex()
+    assert grevlex.key(R, xz) < grevlex.key(R, y2)
+    assert lex.key(R, xz) > lex.key(R, y2)
+    assert grevlex.key(R, xz) == grevlex.key(R, xz)
 
 
 def test_block_order_eliminates_x():
@@ -21,10 +22,10 @@ def test_block_order_eliminates_x():
     order = TermOrder.block_x_over_t()
     t5 = (0, 0, 5)
     x = (1, 0, 0)
-    assert compare_monomials(R, order, t5, x) == LT
+    assert order.key(R, t5) < order.key(R, x)
     # and t counts above 1
     one = (0, 0, 0)
-    assert compare_monomials(R, order, t5, one) == GT
+    assert order.key(R, t5) > order.key(R, one)
 
 
 def test_weighted_order_refines():
@@ -33,7 +34,7 @@ def test_weighted_order_refines():
     xz = (1, 0, 1)
     y2 = (0, 2, 0)
     # omega gives xz weight 3 > 2
-    assert compare_monomials(R, order, xz, y2) == GT
+    assert order.key(R, xz) > order.key(R, y2)
 
 
 def test_orders_total_multiplicative_global():
@@ -55,14 +56,14 @@ def test_orders_total_multiplicative_global():
                 a = rand_monomial(rng, ring)
                 b = rand_monomial(rng, ring)
                 c = rand_monomial(rng, ring)
-                cmp_ab = compare_monomials(ring, order, a, b)
-                # EQ only on equality
-                assert (cmp_ab == EQ) == (a == b)
+                ka, kb = order.key(ring, a), order.key(ring, b)
+                # equal keys only on equality
+                assert (ka == kb) == (a == b)
                 # multiplicative
-                if cmp_ab == GT:
-                    assert compare_monomials(ring, order, mon_mul(a, c), mon_mul(b, c)) == GT
+                if ka > kb:
+                    assert order.key(ring, mon_mul(a, c)) > order.key(ring, mon_mul(b, c))
                 # global: 1 is minimal
-                assert compare_monomials(ring, order, a, one) in ((EQ,) if a == one else (GT,))
+                assert order.key(ring, a) > order.key(ring, one) or a == one
 
 
 def test_keys_shift_by_the_key_of_the_multiplier():
@@ -88,6 +89,32 @@ def test_keys_shift_by_the_key_of_the_multiplier():
                     c = rng.randrange(rank)
                     shifted = tuple(map(add, morder.key(m, c), morder.shift(u)))
                     assert shifted == morder.key(mon_mul(m, u), c)
+
+
+def test_module_keys_rank_the_position_above_the_parameter():
+    # a module key is the term key with the position put in front of the
+    # parameter exponent, which ends every term key; the block order puts
+    # its flag in front of that key
+    from fiberfull.orders import BlockTOPOrder, TOPOrder
+
+    rng = random.Random(16)
+    param = make_ring([1, 2, 1], True)
+    x, xt5 = (1, 0, 0, 0), (1, 0, 0, 5)
+    for ring in (make_ring([1, 2, 1]), param):
+        for term_order in (TermOrder.lex(), TermOrder.grevlex(), TermOrder.block_x_over_t(),
+                           TermOrder.weighted((3, 1, 2))):
+            top = TOPOrder(ring, term_order)
+            block = BlockTOPOrder(ring, term_order, 2)
+            if ring is param:
+                assert top.key(xt5, 1) < top.key(x, 0)
+            for _ in range(50):
+                m, c = rand_monomial(rng, ring), rng.randrange(4)
+                k = term_order.key(ring, m)
+                tail = k[-1:] if ring is param else ()
+                assert top.key(m, c) == (*k[:len(k) - len(tail)], -c, *tail)
+                assert top.shift(m) == (*k[:len(k) - len(tail)], 0, *tail)
+                assert block.key(m, c) == (1 if c < 2 else 0, *top.key(m, c))
+                assert block.shift(m) == (0, *top.shift(m))
 
 
 def test_schreyer_key_orders_like_the_nested_definition():
