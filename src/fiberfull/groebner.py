@@ -318,20 +318,28 @@ def initial_module(G):
 def _schreyer_level(marked, morder, ring, degrees):
     """Syzygies of a marked basis whose elements have the given degrees.
 
-    Returns (marked syzygies, their order, their degrees); by Schreyer's
-    theorem the syzygies are a Groebner basis under the induced order with
-    leading terms (lcm/lm_i) e_i.  Every pair of elements whose leads share a
-    component gives one syzygy.
+    Returns (marked syzygies, their order, their degrees).  The syzygy of a
+    pair i < j whose leads m_i, m_j share a component is led by u e_i, with
+    u = lcm(m_i, m_j)/m_i, under the induced order.  Only the minimal pairs
+    are formed (La Scala-Stillman, "Strategies for computing minimal free
+    resolutions", JSC 1998): for each i, one pair per u that no other u of i
+    strictly divides, the smallest j.  Their leads generate the initial
+    module of all the pair syzygies, so by Schreyer's theorem they are a
+    Groebner basis of the syzygy module.
     """
     field = ring.field
     leads = [b[0][1] for b in marked]
     sorder = SchreyerOrder(morder, leads)
     index = _lead_index(marked)
     syz = []
-    for i in range(len(marked)):
+    for i, (mi, ci) in enumerate(leads):
+        # u -> the smallest j > i in component ci with lcm(m_i, m_j)/m_i = u
+        cands = {}
         for j in range(i + 1, len(marked)):
-            if leads[i][1] != leads[j][1]:
-                continue
+            if leads[j][1] == ci:
+                cands.setdefault(mon_div(mon_lcm(mi, leads[j][0]), mi), j)
+        for j in sorted(j for u, j in cands.items()
+                        if not any(v != u and mon_divides(v, u) for v in cands)):
             sp, ui, uj = _spoly(marked[i], marked[j], morder, field)
             quotients = {}
             if _tv_normal_form(sp, index, morder, field, quotients):
@@ -347,8 +355,6 @@ def _schreyer_level(marked, morder, ring, degrees):
                 if coeff != field.zero
             ]
             tv.sort(key=lambda t: t[0], reverse=True)
-            if not tv:
-                continue
             syz.append(_monic(tv, field))
             assert syz[-1][0][1] == (ui, i)
     return syz, sorder, _lead_degrees(syz, degrees, ring)

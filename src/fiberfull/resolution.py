@@ -2,10 +2,10 @@
 entries, graded Betti numbers, extremal Betti positions, depth and
 Castelnuovo-Mumford regularity.
 
-Every ring takes the same route: the Schreyer frame, then one pruning sweep.
-Over k[x] the result is the minimal resolution; over k[t][x] it is a free
-resolution that may keep degree-0 entries such as t - 1, so it carries no
-Betti table.
+Every ring takes the same route: the Schreyer frame over the minimal pairs
+(La Scala-Stillman), then one pruning sweep.  Over k[x] the result is the
+minimal resolution; over k[t][x] it is a free resolution that may keep
+degree-0 entries such as t - 1, so it carries no Betti table.
 
 A differential is stored as its sparse rows, which the Groebner engine
 hands over level by level and which are pruned in place; read in
@@ -87,7 +87,8 @@ def specialize_resolution(res, c):
 
 
 def _schreyer_frame(pres):
-    """The unminimized resolution by iterated Schreyer syzygies."""
+    """The unminimized resolution by iterated Schreyer syzygies of the
+    minimal pairs."""
     for g in pres.generators:
         if not g.is_homogeneous():
             raise InvalidArgumentError("resolution requires homogeneous generators")

@@ -1,22 +1,31 @@
 """Shared test utilities: random element generators and independent oracles
 (a printer that sorts the terms itself, brute-force standard-monomial
 counting, Krull dimension by a subset scan, S-pair closure, Buchberger over
-all pairs with no criterion, degreewise exactness by exact linear algebra,
-division by a linear scan of the basis, minimization that restarts its scan
-after every pivot, the storage rule of a resolution's sparse rows, colon
-and Ext relations as the heads of a syzygy graph, saturation from a reduced
-basis of its own, the torsion annihilator contracted to k[t] by a
-block-order basis, the k[t]-torsion of Ext^i read off the cokernel of the
-transposed differential, the parameter values at which a fiber's graded
-pieces jump)."""
+all pairs with no criterion, the Schreyer frame over all pairs and the
+invariants a resolution must not change, degreewise exactness by exact
+linear algebra, division by a linear scan of the basis, minimization that
+restarts its scan after every pivot, the storage rule of a resolution's
+sparse rows, colon and Ext relations as the heads of a syzygy graph,
+saturation from a reduced basis of its own, the torsion annihilator
+contracted to k[t] by a block-order basis, the k[t]-torsion of Ext^i read
+off the cokernel of the transposed differential, the parameter values at
+which a fiber's graded pieces jump)."""
 
+from contextlib import contextmanager
+from unittest import mock
+
+import fiberfull.groebner
 from fiberfull import (
     GradedFreeModule,
     PolyVector,
     SubmodulePresentation,
     TermOrder,
+    betti_table,
     buchberger,
     colon,
+    fiber_full_check,
+    fiber_full_locus,
+    free_resolution,
     hilbert_function,
     make_ring,
     module_kernel,
@@ -25,10 +34,13 @@ from fiberfull import (
     parameter_monic,
     specialize_presentation,
 )
-from fiberfull.ext import _dual_columns
+from fiberfull.ext import _dual_columns, _tables_from_resolution
+from fiberfull.fiberfull import _module_certificates
 from fiberfull.groebner import (
     _index_add,
     _interreduce,
+    _lead_degrees,
+    _lead_index,
     _monic,
     _spoly,
     _tv_add,
@@ -36,6 +48,8 @@ from fiberfull.groebner import (
     _tv_normal_form,
 )
 from fiberfull.linalg import matrix_rank
+from fiberfull.orders import SchreyerOrder
+from fiberfull.resolution import specialize_resolution
 from fiberfull.rings import mon_div, mon_divides, mon_lcm
 
 
@@ -166,6 +180,66 @@ def all_pairs_engine(tvs, morder, ring, twists):
         if rem:
             enter(_monic(rem, field))
     return _interreduce(basis, morder, field)
+
+
+def all_pairs_schreyer_level(marked, morder, ring, degrees):
+    """Syzygies of a marked basis, one for every pair i < j whose leads share
+    a component, led by (lcm/m_i) e_i: the frame of Taylor-complex size.
+    Takes the arguments of ``_schreyer_level`` and returns what it returns,
+    so it can stand in for it."""
+    field = ring.field
+    leads = [b[0][1] for b in marked]
+    sorder = SchreyerOrder(morder, leads)
+    index = _lead_index(marked)
+    syz = []
+    for i in range(len(marked)):
+        for j in range(i + 1, len(marked)):
+            if leads[i][1] != leads[j][1]:
+                continue
+            sp, ui, uj = _spoly(marked[i], marked[j], morder, field)
+            quotients = {}
+            assert not _tv_normal_form(sp, index, morder, field, quotients)
+            coeffs = {(ui, i): field.one, (uj, j): field.neg(field.one)}
+            for idx, qterms in quotients.items():
+                for qm, qc in qterms:
+                    key = (qm, idx)
+                    coeffs[key] = field.sub(coeffs.get(key, field.zero), qc)
+            tv = sorted(((sorder.key(m, c), (m, c), coeff)
+                         for (m, c), coeff in coeffs.items() if coeff != field.zero),
+                        key=lambda t: t[0], reverse=True)
+            syz.append(_monic(tv, field))
+            assert syz[-1][0][1] == (ui, i)
+    return syz, sorder, _lead_degrees(syz, degrees, ring)
+
+
+@contextmanager
+def all_pairs_frame():
+    """Every resolution built inside the block rests on the all-pairs
+    frame.  The one-entry certificate memo is emptied on the way in and
+    out, so that no result crosses from one frame to the other."""
+    _module_certificates.cache_clear()
+    try:
+        with mock.patch.object(fiberfull.groebner, "_schreyer_level", all_pairs_schreyer_level):
+            yield
+    finally:
+        _module_certificates.cache_clear()
+
+
+def frame_invariants(pres, window=(-6, 2)):
+    """What every free resolution of a module determines, read off
+    ``free_resolution``: over k[x] the Betti table and the H^i tables; over
+    k[t][x] the Ext annihilators and verdicts at t = 0..3, the fiber-full
+    locus, and the Betti and H^i tables of the fibers at t = 0, 1, 2, whose
+    minimal complexes are unique up to isomorphism."""
+    res = free_resolution(pres)
+    assert res.check_complex()
+    if not pres.ring.has_parameter:
+        return betti_table(res), _tables_from_resolution(res, window)
+    reports = [fiber_full_check(pres, at=c) for c in range(4)]
+    specs = [specialize_resolution(res, c) for c in range(3)]
+    return ([[(v.certificate.annihilator, v.free_over_base) for v in r.verdicts]
+             for r in reports], fiber_full_locus(pres),
+            [(betti_table(s), _tables_from_resolution(s, window)) for s in specs])
 
 
 def degree_slice_matrix(res, k, nu):

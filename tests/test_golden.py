@@ -2,10 +2,11 @@
 
 The hashes pin the exact bytes, not only the mathematics: a change in the
 division choices of the term-vector engine (which basis element reduces
-which term) or in the pruning of unit entries shows up in the resolution
-printed by ``resolve`` over k[t][x], in the torsion generators of
-``fiberfull`` and in the family of ``cv-verify``.  A change that alters
-any of these bytes on purpose must say so and update the hash."""
+which term), in the pairs the Schreyer frame forms or in the pruning of
+unit entries shows up in the resolution printed by ``resolve``, in the
+torsion generators of ``fiberfull`` and in the family of ``cv-verify``.
+A change that alters any of these bytes on purpose must say so and update
+the hash."""
 
 import hashlib
 
@@ -60,7 +61,7 @@ GOLDEN = [
     ("cv-verify", MINORS_2X3, ["cv-verify", "--order", "lex"],
      "bf0a0cd72ca7107b46d13ee07df1e3c478deb4747606003d994eff998eb461be"),
     ("resolve", PARAM_FAMILY, ["resolve"],
-     "ab623d1baf6c41f53d3524b7942548b097b7ffd8aedc51899ec2f5e89342830d"),
+     "0b8bf5eb056400febe65211d96013dc43de6041801c0216f96fd7d547f08a489"),
     ("fiberfull", TORSION_FP7, ["fiberfull", "--at", "0"],
      "96a18cfe3a4a30c8bd0cc6ea7ef556378a9a977b19a1b0f8d369682ae44a8c18"),
     ("locus", LOCUS_INPUT, ["locus"],
@@ -78,7 +79,7 @@ GOLDEN = [
     ("gb-weighted-lex", WEIGHTED_QQ, ["gb", "--order", "lex"],
      "4cd921546563214fee6fe2b507d377a8dd4e19d617b01cc05b07c30dcce7978b"),
     ("resolve-weighted", WEIGHTED_QQ, ["resolve"],
-     "17e4dbd8896516a0daa7a8deec2595fe98d54f820a3accdc3b1b35ea9b7a3eb7"),
+     "fd74bd212dde57045b39bdc4e9fcebd245382e614cb89c7b87123871d18fd882"),
     ("fiberfull-rank-two-ext", RANK_TWO_EXT, ["fiberfull", "--at", "-3"],
      "3d4949d38aa473a3f59ee3291cc089e7a035d3556f265e2f6151f674baa9dac7"),
 ]

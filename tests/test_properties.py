@@ -31,6 +31,13 @@
     submodules of rank two and three whose generators span several
     components, and kernels modulo a submodule (the block order of
     ``module_kernel``);
+  * the Schreyer frame over the minimal pairs against the frame over all
+    pairs (``helpers.all_pairs_schreyer_level`` standing in for
+    ``_schreyer_level``), over QQ and GF(32003): the new frame is a complex,
+    exact in each degree, and both give the same Betti and H^i tables on
+    ideals and submodules of rank two and three, and the same Ext
+    annihilators, verdicts, fiber-full locus and fiber tables on ideals
+    over k[t][x,y,z] with planted factors t - c;
   * Hochster's formula against the Ext-duality tables on square-free
     monomial ideals in five to seven variables over QQ.
 
@@ -73,6 +80,8 @@ from fiberfull import (
 from fiberfull.resolution import _schreyer_frame, specialize_resolution
 from helpers import (
     all_pairs_engine,
+    all_pairs_frame,
+    frame_invariants,
     graph_colon,
     reference_str,
     resolution_exact_in_degree,
@@ -319,6 +328,52 @@ def test_pair_criteria_against_all_pairs_in_kernels(U, data):
     kernel = module_kernel(vectors, twists, U.ambient, modulo=U.generators)
     with _all_pairs():
         assert kernel == module_kernel(vectors, twists, U.ambient, modulo=U.generators)
+
+
+PARAM_RINGS = [make_ring([1, 1, 1], True, field=field, names=["x", "y", "z"])
+               for field in (QQ, GF(32003))]
+
+
+@st.composite
+def parameter_ideals(draw):
+    """An ideal of k[t][x,y,z] with two to four generators, forms of degree
+    one or two of one to three terms whose coefficients are constants or
+    t - c with c in 0..3, as in the planted families of
+    ``fixtures.parameter_families``."""
+    ring = draw(st.sampled_from(PARAM_RINGS))
+    t = ring.parameter()
+    pool = [ring.constant(c) for c in (1, -1, 2)] + [t - ring.constant(c) for c in range(4)]
+    gens = []
+    for d in draw(st.lists(st.integers(min_value=1, max_value=2), min_size=2, max_size=4)):
+        forms = [m + (0,) for m in monomials_of_degree(ring.without_parameter(), d)]
+        mons = draw(st.lists(st.sampled_from(forms), min_size=1, max_size=3, unique=True))
+        gens.append(sum((draw(st.sampled_from(pool)).mul_term(m, 1) for m in mons), ring.zero()))
+    return SubmodulePresentation.ideal(ring, gens)
+
+
+FRAME_SETTINGS = settings(derandomize=True, deadline=30000, database=None, max_examples=50)
+
+
+@FRAME_SETTINGS
+@given(mixed_submodules(count=(3, 4)))
+def test_minimal_pairs_against_all_pairs(U):
+    frame = _schreyer_frame(U)
+    assert frame.check_complex()
+    for k in range(1, frame.length + 1):
+        for nu in range(6):
+            assert resolution_exact_in_degree(frame, k, nu), (k, nu)
+    invariants = frame_invariants(U)
+    with all_pairs_frame():
+        assert invariants == frame_invariants(U)
+
+
+@FRAME_SETTINGS
+@given(parameter_ideals())
+def test_minimal_pairs_against_all_pairs_over_parameter_rings(U):
+    assert _schreyer_frame(U).check_complex()
+    invariants = frame_invariants(U)
+    with all_pairs_frame():
+        assert invariants == frame_invariants(U)
 
 
 SQUAREFREE_RINGS = {n: make_ring([1] * n) for n in (5, 6, 7)}

@@ -1,5 +1,7 @@
 """Free resolutions, minimality, Betti tables, extremal positions, depth and
-regularity; the twisted cubic checked against a by-hand syzygy computation."""
+regularity; the twisted cubic checked against a by-hand syzygy computation;
+the minimal-pair Schreyer frame on ideals whose all-pairs frame is
+Koszul-sized, and against the all-pairs frame on the parameter families."""
 
 import pytest
 
@@ -18,6 +20,7 @@ from fiberfull import (
     make_ring,
     weight_vector_for,
 )
+from fiberfull.fiberfull import _module_certificates
 from fiberfull.resolution import _schreyer_frame, specialize_resolution
 from fixtures import (
     ideal_from_strings,
@@ -28,6 +31,8 @@ from fixtures import (
     twisted_cubic,
 )
 from helpers import (
+    all_pairs_frame,
+    frame_invariants,
     restart_minimize,
     resolution_exact_in_degree,
     rows_are_sparse,
@@ -243,6 +248,46 @@ def test_pruned_resolution_over_parameter_ring(name):
     assert len(ranks) <= len(frame_ranks)
     assert all(a <= b for a, b in zip(ranks, frame_ranks)), (ranks, frame_ranks)
     assert _twist_polynomial(res) == _twist_polynomial(frame)
+
+
+@pytest.mark.parametrize("name", PARAMETER_FAMILIES)
+def test_minimal_pair_frame_keeps_the_family_invariants(name):
+    pres = PARAMETER_FAMILIES[name]
+    invariants = frame_invariants(pres)
+    with all_pairs_frame():
+        assert invariants == frame_invariants(pres)
+
+
+def _minors_2x2(ring, top, bottom):
+    """The 2x2 minors of the matrix with rows ``top`` and ``bottom``, given
+    as variable names."""
+    n = len(top)
+    return ideal_from_strings(ring, ["%s*%s - %s*%s" % (top[a], bottom[b], top[b], bottom[a])
+                                     for a in range(n) for b in range(a + 1, n)])
+
+
+def test_minimal_pair_frame_of_the_cliff():
+    # the all-pairs frame of either ideal has 2^15 = 32768 generators in all
+    R12 = make_ring([1] * 12, field=GF(32003))
+    minors = _minors_2x2(R12, R12.names[:6], R12.names[6:])
+    R7 = make_ring([1] * 7, field=GF(32003))
+    sextic = _minors_2x2(R7, R7.names[:6], R7.names[1:])
+    for pres in (minors, sextic):
+        assert _schreyer_frame(pres).ranks() == [1, 15, 40, 45, 24, 5]
+
+
+def test_minimal_pair_frame_over_a_parameter_ring():
+    # a 10-element reduced basis: the all-pairs frame has 2^10 = 1024
+    # generators, 1,10,45,...,10,1
+    Rt = make_ring([1, 1, 1], True, field=GF(32003), names=["x", "y", "z"])
+    pres = ideal_from_strings(
+        Rt, ("(t+2)*y + 2*(t+1)*z", "(t+3)*y^2", "2*(t-2)*x*y + (t-2)*z^2"))
+    assert _schreyer_frame(pres).ranks() == [1, 10, 19, 13, 3]
+    module_cert, ext_certs = _module_certificates(pres)
+    with all_pairs_frame():
+        ref_module_cert, ref_ext_certs = _module_certificates(pres)
+    assert module_cert == ref_module_cert
+    assert [c.annihilator for c in ext_certs] == [c.annihilator for c in ref_ext_certs]
 
 
 def _graded_of_degree_zero(res):
