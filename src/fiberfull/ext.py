@@ -14,7 +14,7 @@ from .errors import IndexOutOfRangeError, InvalidArgumentError
 from .groebner import buchberger, module_kernel
 from .hilbert import HilbertTable, check_window, hilbert_from_leads
 from .modules import GradedFreeModule, PolyVector, SubmodulePresentation
-from .resolution import free_resolution
+from .resolution import _twist_codimension, free_resolution
 
 
 def _dual_columns(res, k):
@@ -107,19 +107,27 @@ def _tables_from_resolution(res, window):
     Only dimensions are needed, so no Ext module is presented.  With Q_j
     the Hilbert function of the cokernel of the transposed d_j (Q_0 that of
     F_0^*), in every degree dim Ext^j = dim ker d_{j+1}^T - dim im d_j^T =
-    Q_{j+1} + Q_j - dim F_{j+1}^*, and Ext^n = Q_n at the length n."""
+    Q_{j+1} + Q_j - dim F_{j+1}^*, and Ext^n = Q_n at the length n.
+
+    Over a Cohen-Macaulay ring such as k[x], Ext^j(M, R) = 0 for every
+    j < grade(ann M) = codim M (Bruns-Herzog, Cohen-Macaulay Rings, 1.2.10
+    and 2.1.4), so H^{r-j} is written as zero there and Q_j is formed only
+    for j >= codim M, which is read off the twists of ``res``."""
     r, delta = res.ring.num_positive, res.ring.delta
     lo, hi = window
     inner = (-hi - delta, -lo - delta)
     n = res.length
-    coker = [hilbert_function(SubmodulePresentation(
+    codim = _twist_codimension(res)
+    coker = {j: hilbert_function(SubmodulePresentation(
         res.modules[j].dual(), _dual_columns(res, j) if j else []), inner).dims
-        for j in range(n + 1)]
+        for j in range(n + 1) if j >= codim}
     out = []
     for i in range(r + 1):
         j = r - i
-        dims = coker[n] if j == n else {}
-        if j < n:
+        dims = {}
+        if codim <= j == n:
+            dims = coker[n]
+        elif codim <= j < n:
             free = hilbert_function(SubmodulePresentation(res.modules[j + 1].dual(), []), inner)
             dims = {nu: coker[j + 1][nu] + coker[j][nu] - d for nu, d in free.dims.items()}
         out.append(HilbertTable(window, {nu: dims.get(-nu - delta, 0) for nu in range(lo, hi + 1)}))

@@ -21,7 +21,8 @@ the torsion submodule and a monic annihilator in k[t]:
 A module is fiber-full at (t - c) when neither the module itself nor any of
 Ext^0..Ext^r against the ambient polynomial ring has torsion there.  These
 certificates do not depend on c, so they are computed once per module, the
-Ext modules read off its one resolution: a check at (t - c) evaluates their
+Ext modules read off its one resolution and none presented below the
+codimension, where Ext vanishes: a check at (t - c) evaluates their
 annihilators at c, and the locus polynomial is the monic lcm of the
 annihilators; its nonvanishing set is exactly the set of good fibers.  The
 certificates of the last presentation checked are kept
@@ -30,7 +31,7 @@ several points computes them once.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import InvalidArgumentError, TheoremViolationError
 from .ext import _ext_from_resolution, _tables_from_resolution, local_cohomology_tables
@@ -46,7 +47,13 @@ from .groebner import (
 )
 from .hilbert import check_window
 from .modules import GradedFreeModule, PolyVector, SubmodulePresentation
-from .resolution import betti_table, depth_and_regularity, free_resolution, specialize_resolution
+from .resolution import (
+    _codimension,
+    betti_table,
+    depth_and_regularity,
+    free_resolution,
+    specialize_resolution,
+)
 from .rings import Polynomial, evaluate_parameter, parameter_lcm
 
 
@@ -63,11 +70,18 @@ class TorsionCertificate:
     def is_torsion_free(self):
         return not self.torsion_generators
 
+    @cached_property
+    def _printed(self):
+        """The strings of the torsion generators and of the annihilator,
+        formed once: a memoized certificate is printed by every report."""
+        return tuple(str(v) for v in self.torsion_generators), str(self.annihilator)
+
     def to_json_dict(self):
+        generators, annihilator = self._printed
         return {
             "index": self.index,
-            "torsion_generators": [str(v) for v in self.torsion_generators],
-            "annihilator": str(self.annihilator),
+            "torsion_generators": list(generators),
+            "annihilator": annihilator,
         }
 
 
@@ -96,16 +110,21 @@ def parameter_torsion(pres):
     ring = pres.ring
     if not ring.has_parameter:
         raise InvalidArgumentError("parameter torsion needs a ring with a parameter")
-    one = ring.one()
     if pres.ambient.rank == 0:
-        return TorsionCertificate(None, (), one)
-    G = buchberger(pres)
+        return TorsionCertificate(None, (), ring.one())
+    return _basis_torsion(buchberger(pres))
+
+
+def _basis_torsion(G):
+    """``parameter_torsion`` of the module presented by the reduced basis G
+    of its relations."""
+    one = G.ring.one()
     if len(G) == 0:
         return TorsionCertificate(None, (), one)
     h = _leading_parameter_content(G)
     if h.is_constant():
         return TorsionCertificate(None, (), one)
-    sat = saturate(SubmodulePresentation(pres.ambient, G.elements), h)
+    sat = saturate(SubmodulePresentation(G.module, G.elements), h)
     torsion = []
     for v in sat.generators:
         nf = normal_form(v, G)
@@ -183,14 +202,25 @@ def _free_at(cert, c):
     return evaluate_parameter(g, c) != g.ring.field.zero
 
 
-def _certificates(pres, res):
-    """Torsion certificates of the module and of Ext^0..Ext^r against the
-    ambient ring (r counting positive-degree variables only), the Ext
-    modules read off the resolution ``res`` of the module: the pair
-    (module certificate, tuple of Ext certificates)."""
-    module_cert = parameter_torsion(pres)
+def _certificates(res):
+    """Torsion certificates of the module that ``res`` resolves and of
+    Ext^0..Ext^r against the ambient ring (r counting positive-degree
+    variables only), the Ext modules read off ``res``: the pair (module
+    certificate, tuple of Ext certificates).  The module certificate and the
+    codimension read the reduced basis the resolution was built on.
+
+    The ambient ring is Cohen-Macaulay, so Ext^i(M, R) = 0 for every
+    i < grade(ann M) = codim M (Bruns-Herzog, Cohen-Macaulay Rings, 1.2.10
+    and 2.1.4): such an Ext^i is not presented and gets the certificate of
+    the zero module."""
+    G = res.basis
+    module_cert = _basis_torsion(G)
+    codim = _codimension(G)
     ext_certs = []
-    for i in range(pres.ring.num_positive + 1):
+    for i in range(res.ring.num_positive + 1):
+        if i < codim:
+            ext_certs.append(TorsionCertificate(i, (), res.ring.one()))
+            continue
         cert = parameter_torsion(_ext_from_resolution(res, i))
         ext_certs.append(TorsionCertificate(i, cert.torsion_generators, cert.annihilator))
     return module_cert, tuple(ext_certs)
@@ -202,7 +232,7 @@ def _module_certificates(pres):
     resolution; those of the last module asked about are kept."""
     if not pres.ring.has_parameter:
         raise InvalidArgumentError("fiber-fullness is checked over a parameter ring")
-    return _certificates(pres, free_resolution(pres))
+    return _certificates(free_resolution(pres))
 
 
 def _report(certs, at):
@@ -349,7 +379,7 @@ def verify_degeneration(pres, order, window):
     omega = weight_vector_for(G)
     family = homogenize_omega(G, omega)
     res_family = free_resolution(family)
-    certs = _certificates(family, res_family)
+    certs = _certificates(res_family)
 
     # the family is a Groebner degeneration, hence flat over k[t], and its
     # fibers at t = 1 and t = 0 are the ideal and its initial ideal; so the

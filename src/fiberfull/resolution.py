@@ -13,6 +13,8 @@ F_{k+1}^* they are the columns of the transposed map that Ext and the
 local cohomology tables use.
 """
 
+from math import comb, inf
+
 from .errors import InvalidArgumentError
 from .groebner import _schreyer_levels, buchberger
 from .hilbert import monomial_quotient_dimension
@@ -21,14 +23,20 @@ from .modules import GradedFreeModule
 
 class Resolution:
     """Chain F_0 <- F_1 <- ... with graded differentials; rows[k][r] maps each
-    column c to the nonzero entry (r, c) of d_{k+1}: F_{k+1} -> F_k."""
+    column c to the nonzero entry (r, c) of d_{k+1}: F_{k+1} -> F_k.
 
-    __slots__ = ("modules", "rows", "minimal")
+    ``basis`` is the reduced basis of the relations that the frame starts
+    from, so that the torsion certificate and the codimension of the module
+    read the basis its resolution already computed; a specialized
+    resolution has none."""
 
-    def __init__(self, modules, rows, minimal):
+    __slots__ = ("modules", "rows", "minimal", "basis")
+
+    def __init__(self, modules, rows, minimal, basis=None):
         self.modules = list(modules)
         self.rows = list(rows)
         self.minimal = minimal
+        self.basis = basis
 
     @property
     def length(self):
@@ -92,11 +100,12 @@ def _schreyer_frame(pres):
     for g in pres.generators:
         if not g.is_homogeneous():
             raise InvalidArgumentError("resolution requires homogeneous generators")
+    G = buchberger(pres)
     modules, rows = [pres.ambient], []
-    for twists, level in _schreyer_levels(buchberger(pres)):
+    for twists, level in _schreyer_levels(G):
         modules.append(GradedFreeModule(pres.ring, twists))
         rows.append(level)
-    return Resolution(modules, rows, False)
+    return Resolution(modules, rows, False, G)
 
 
 def _minimize_in_place(res):
@@ -233,15 +242,45 @@ def depth_and_regularity(table, num_vars):
     return num_vars - pd, table.regularity()
 
 
-def krull_dimension(pres):
-    """Dimension of ambient/<gens> via the initial module."""
-    G = buchberger(pres)
-    ring = pres.ring
+def _codimension(G):
+    """Codimension of the module presented by the reduced basis G of its
+    relations: the number of variables (the parameter included) minus the
+    largest dimension of k[x]/<leads in component c> over the components c,
+    which is the Krull dimension of the module.  The zero module has
+    infinite codimension."""
     leads_by_comp = {}
     for mon, comp in G.leads:
         leads_by_comp.setdefault(comp, []).append(mon)
-    best = -1
-    for comp in range(pres.ambient.rank):
-        gens = leads_by_comp.get(comp, [])
-        best = max(best, monomial_quotient_dimension(ring.nvars, gens))
-    return best
+    nvars = G.ring.nvars
+    dim = max((monomial_quotient_dimension(nvars, leads_by_comp.get(comp, []))
+               for comp in range(G.module.rank)), default=-1)
+    return nvars - dim if dim >= 0 else inf
+
+
+def _twist_codimension(res):
+    """Codimension of the module a resolution over k[x] resolves, read off
+    its twists alone: the order of vanishing at z = 1 of the numerator
+    K(z) = sum_k (-1)^k sum_tau z^tau of the Hilbert series.  The
+    denominator prod (1 - z^w_i) vanishes there to order r, and the series
+    has a pole of order dim M, so K vanishes to order r - dim M.  K = 0
+    exactly for the zero module, of infinite codimension."""
+    K = {}
+    for k, module in enumerate(res.modules):
+        for tau in module.twists:
+            K[tau] = K.get(tau, 0) + (-1) ** k
+    K = {e: c for e, c in K.items() if c}
+    if not K:
+        return inf
+    low = min(K)
+    # the m-th Taylor coefficient at z = 1 of z^-low * K(z)
+    m = 0
+    while not sum(c * comb(e - low, m) for e, c in K.items()):
+        m += 1
+    return m
+
+
+def krull_dimension(pres):
+    """Dimension of ambient/<gens> via the initial module; -1 for the zero
+    module."""
+    c = _codimension(buchberger(pres))
+    return pres.ring.nvars - c if c != inf else -1

@@ -9,7 +9,8 @@ sparse rows, colon and Ext relations as the heads of a syzygy graph,
 saturation from a reduced basis of its own, the torsion annihilator
 contracted to k[t] by a block-order basis, the k[t]-torsion of Ext^i read
 off the cokernel of the transposed differential, the parameter values at
-which a fiber's graded pieces jump)."""
+which a fiber's graded pieces jump, the H^i tables from every cokernel of a
+transposed differential, with no short cut below the codimension)."""
 
 from contextlib import contextmanager
 from unittest import mock
@@ -17,6 +18,7 @@ from unittest import mock
 import fiberfull.groebner
 from fiberfull import (
     GradedFreeModule,
+    HilbertTable,
     PolyVector,
     SubmodulePresentation,
     TermOrder,
@@ -418,6 +420,38 @@ def graph_ext(res, i):
     ambient = GradedFreeModule(res.ring, kernel_twists)
     heads = _syzygy_heads(list(kernel) + image, twists, dual, ambient, len(kernel))
     return SubmodulePresentation(ambient, heads)
+
+
+def is_zero_module(pres):
+    """Every basis vector of the ambient lies in the relations."""
+    if pres.ambient.rank == 0:
+        return True
+    if not pres.generators:
+        return False
+    G = buchberger(pres)
+    return all(vector_in_submodule(pres.ambient.basis_vector(c), G)
+               for c in range(pres.ambient.rank))
+
+
+def cokernel_tables(res, window):
+    """The tables H^0..H^r over k[x] the long way: the Hilbert function Q_j
+    of every cokernel of a transposed differential, with no short cut below
+    the codimension, and dim Ext^j = Q_{j+1} + Q_j - dim F_{j+1}^* (Ext^n =
+    Q_n at the length n)."""
+    r, delta = res.ring.num_positive, res.ring.delta
+    lo, hi = window
+    inner = (-hi - delta, -lo - delta)
+    n = res.length
+    coker = [hilbert_function(transposed_cokernel(res, j), inner).dims for j in range(n + 1)]
+    out = []
+    for i in range(r + 1):
+        j = r - i
+        dims = coker[n] if j == n else {}
+        if j < n:
+            free = hilbert_function(SubmodulePresentation(res.modules[j + 1].dual(), []), inner)
+            dims = {nu: coker[j + 1][nu] + coker[j][nu] - d for nu, d in free.dims.items()}
+        out.append(HilbertTable(window, {nu: dims.get(-nu - delta, 0) for nu in range(lo, hi + 1)}))
+    return out
 
 
 def buchberger_saturate(pres, h):

@@ -19,6 +19,7 @@ from fiberfull import (
     fiber_full_locus,
     fiber_hilbert_compare,
     free_resolution,
+    krull_dimension,
     make_ring,
     monomials_of_degree,
     parameter_lcm,
@@ -199,33 +200,51 @@ def test_certificates_match_the_schreyer_frame(name):
 
 
 def _count_torsion_calls(monkeypatch, fail_first=False):
-    """Empty the certificate memo and count parameter_torsion calls; with
-    ``fail_first`` the first call raises."""
+    """Empty the certificate memo and count the torsion certificates computed
+    the long way: the calls of parameter_torsion (one per Ext module
+    presented) and of _basis_torsion from outside it (the module's own, from
+    the basis its resolution starts from).  With ``fail_first`` the first
+    one raises."""
     import fiberfull.fiberfull
 
     fiberfull.fiberfull._module_certificates.cache_clear()
-    real = fiberfull.fiberfull.parameter_torsion
     calls = []
+    depth = [0]
 
-    def counted(pres):
-        calls.append(pres)
-        if fail_first and len(calls) == 1:
-            raise RuntimeError("interrupted")
-        return real(pres)
+    def counting(real):
+        def counted(arg):
+            if not depth[0]:
+                calls.append(arg)
+                if fail_first and len(calls) == 1:
+                    raise RuntimeError("interrupted")
+            depth[0] += 1
+            try:
+                return real(arg)
+            finally:
+                depth[0] -= 1
+        return counted
 
-    monkeypatch.setattr(fiberfull.fiberfull, "parameter_torsion", counted)
+    for name in ("parameter_torsion", "_basis_torsion"):
+        monkeypatch.setattr(fiberfull.fiberfull, name,
+                            counting(getattr(fiberfull.fiberfull, name)))
     return calls
 
 
+def _codim(pres):
+    return pres.ring.nvars - krull_dimension(pres)
+
+
 def test_locus_then_checks_compute_the_certificates_once(monkeypatch):
-    # the module and Ext^0..Ext^r: r + 2 certificates for the locus and all
-    # eight points
+    # the module and Ext^codim..Ext^r: r + 2 - codim certificates for the
+    # locus and all eight points; Ext^0 and Ext^1 vanish below the
+    # codimension 2 and are not presented
     calls = _count_torsion_calls(monkeypatch)
     pres = PARAMETER_FAMILIES["ideal-A"]
     fiber_full_locus(pres)
     for c in range(8):
         fiber_full_check(pres, at=c)
-    assert len(calls) == pres.ring.num_positive + 2
+    assert _codim(pres) == 2
+    assert len(calls) == pres.ring.num_positive + 2 - 2
 
 
 def test_certificate_memo_recomputes_after_another_module(monkeypatch):
@@ -235,7 +254,7 @@ def test_certificate_memo_recomputes_after_another_module(monkeypatch):
     fiber_full_locus(b)
     n = len(calls)
     assert fiber_full_locus(a) == first
-    assert len(calls) == n + a.ring.num_positive + 2
+    assert len(calls) == n + a.ring.num_positive + 2 - _codim(a)
 
 
 def test_certificate_memo_hits_an_equal_presentation(monkeypatch):
@@ -286,17 +305,19 @@ def test_certificate_memo_keeps_no_entry_after_an_error(monkeypatch):
     with pytest.raises(RuntimeError):
         fiber_full_locus(pres)
     assert fiberfull.fiberfull._module_certificates.cache_info().currsize == 0
-    expected = _certificates(pres, free_resolution(pres))
+    expected = _certificates(free_resolution(pres))
     assert fiber_full_check(pres, at=2) == _report(expected, 2)
     assert fiberfull.fiberfull._module_certificates.cache_info().currsize == 1
     assert fiberfull.fiberfull._module_certificates(pres) == expected
-    assert len(calls) == 1 + 2 * (pres.ring.num_positive + 2)
+    # ideal-B has codimension 3: Ext^0..Ext^2 are not presented
+    assert _codim(pres) == 3
+    assert len(calls) == 1 + 2 * (pres.ring.num_positive + 2 - 3)
 
 
 @pytest.mark.parametrize("name", PARAMETER_FAMILIES)
 def test_memoized_reports_match_fresh_certificates(name):
     pres = PARAMETER_FAMILIES[name]
-    fresh = _certificates(pres, free_resolution(pres))
+    fresh = _certificates(free_resolution(pres))
     locus = pres.ring.one()
     for cert in (fresh[0],) + fresh[1]:
         locus = parameter_lcm(locus, cert.annihilator)
@@ -579,24 +600,91 @@ def test_verify_degeneration_conic():
 def test_verify_degeneration_resolves_each_module_once(monkeypatch):
     import fiberfull.ext
     import fiberfull.fiberfull
+    import fiberfull.groebner
+    import fiberfull.resolution
 
-    resolved = []
+    resolved, bases = [], []
+
+    def gens(pres):
+        return tuple(str(g.components[0]) for g in pres.generators)
 
     def counting(pres):
-        resolved.append(tuple(str(g.components[0]) for g in pres.generators))
+        resolved.append(gens(pres))
         return free_resolution(pres)
+
+    def counting_basis(pres, order=None):
+        bases.append(gens(pres) if pres.ambient.rank == 1 else None)
+        return buchberger(pres, order)
 
     for module in (fiberfull.ext, fiberfull.fiberfull):
         monkeypatch.setattr(module, "free_resolution", counting)
+    for module in (fiberfull.ext, fiberfull.fiberfull, fiberfull.groebner, fiberfull.resolution):
+        monkeypatch.setattr(module, "buchberger", counting_basis)
     pres = twisted_cubic()
     rep = verify_degeneration(pres, TermOrder.grevlex(), (-6, 2))
-    ideal = tuple(str(g.components[0]) for g in pres.generators)
+    ideal = gens(pres)
     initial = tuple(str(g) for g in rep.initial_generators)
     family = tuple(str(g) for g in rep.family_generators)
     # the ideal and its initial ideal take the family's resolution,
     # specialized at t = 1 and t = 0: the family is the one module resolved
     assert ideal not in resolved and initial not in resolved
     assert resolved == [family]
+    # the resolution, the module certificate and the codimension share the
+    # family's one reduced basis
+    assert bases.count(family) == 1
+
+
+def _record_calls(monkeypatch, module, name):
+    """Arguments of every call of ``module.name``, which still runs."""
+    real = getattr(module, name)
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("name", PARAMETER_FAMILIES)
+def test_certificates_present_no_ext_below_the_codimension(monkeypatch, name):
+    import fiberfull.fiberfull
+
+    pres = PARAMETER_FAMILIES[name]
+    res = free_resolution(pres)
+    calls = _record_calls(monkeypatch, fiberfull.fiberfull, "_ext_from_resolution")
+    _, ext_certs = _certificates(res)
+    codim = _codim(pres)
+    r = pres.ring.num_positive
+    assert [i for _, i in calls] == list(range(min(codim, r + 1), r + 1))
+    for cert in ext_certs[:codim]:
+        assert cert.is_torsion_free() and cert.annihilator == pres.ring.one()
+
+
+def test_tables_form_no_cokernel_below_the_codimension(monkeypatch):
+    import fiberfull.ext
+    from fiberfull.ext import _tables_from_resolution
+
+    # the twisted cubic and the quartic curve (codimension 2, depth 2 and 1)
+    # in four variables, the ideal (x) and the zero module, whose
+    # krull_dimension is -1 and whose resolution has length 0
+    R4 = make_ring([1, 1, 1, 1], names=["x", "y", "z", "w"])
+    cases = [(twisted_cubic(), 2),
+             (ideal_from_strings(R4, ("y*z - x*w", "z^3 - y*w^2", "x*z^2 - y^2*w",
+                                      "y^3 - x^2*z")), 2),
+             (ideal_from_strings(R4, ("x",)), 1),
+             (ideal_from_strings(R4, ("1",)), 5)]
+    for pres, codim in cases:
+        res = free_resolution(pres)
+        assert _codim(pres) == codim
+        calls = _record_calls(monkeypatch, fiberfull.ext, "hilbert_function")
+        _tables_from_resolution(res, (-6, 2))
+        # Q_j is presented in F_j^* by the columns of d_j^T (none for j = 0);
+        # the free F_{j+1}^* is presented by none
+        formed = sorted(j for j in range(res.length + 1) for q, _ in calls
+                        if q.ambient == res.modules[j].dual() and (q.generators or j == 0))
+        assert formed == list(range(codim, res.length + 1)), (pres, formed)
 
 
 def test_verify_degeneration_trivial_families():
@@ -656,10 +744,10 @@ def test_verify_degeneration_refuses_a_family_with_torsion(monkeypatch):
 
     real = fiberfull.fiberfull._certificates
 
-    def with_torsion(pres, res):
-        _, ext_certs = real(pres, res)
-        t = pres.ring.parameter()
-        cert = fiberfull.fiberfull.TorsionCertificate(None, (pres.generators[0],), t)
+    def with_torsion(res):
+        _, ext_certs = real(res)
+        cert = fiberfull.fiberfull.TorsionCertificate(
+            None, (res.basis.elements[0],), res.ring.parameter())
         return cert, ext_certs
 
     monkeypatch.setattr(fiberfull.fiberfull, "_certificates", with_torsion)

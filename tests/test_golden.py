@@ -42,6 +42,15 @@ QUARTIC = (
     "ring S vars (x,y,z,w) weights (1,1,1,1) field QQ;\n"
     "ideal I = (y*z - x*w, z^3 - y*w^2, x*z^2 - y^2*w, y^3 - x^2*z);\n"
 )
+# the rational normal sextic, the 2x2 minors of the Hankel matrix
+# [[x0..x5], [x1..x6]]: codimension 5, so Ext^0..Ext^4 vanish and only Ext^5
+# carries a certificate or a table
+SEXTIC = (
+    "ring S vars (x0,x1,x2,x3,x4,x5,x6) weights (1,1,1,1,1,1,1) field QQ;\n"
+    "ideal I = (x0*x2 - x1^2, x0*x3 - x1*x2, x0*x4 - x1*x3, x0*x5 - x1*x4, x0*x6 - x1*x5, "
+    "x1*x3 - x2^2, x1*x4 - x2*x3, x1*x5 - x2*x4, x1*x6 - x2*x5, x2*x4 - x3^2, "
+    "x2*x5 - x3*x4, x2*x6 - x3*x5, x3*x5 - x4^2, x3*x6 - x4*x5, x4*x6 - x5^2);\n"
+)
 # a weighted grading and fraction coefficients: the printed term order
 # mixes degree, grevlex and coefficient signs
 WEIGHTED_QQ = (
@@ -82,6 +91,11 @@ GOLDEN = [
      "fd74bd212dde57045b39bdc4e9fcebd245382e614cb89c7b87123871d18fd882"),
     ("fiberfull-rank-two-ext", RANK_TWO_EXT, ["fiberfull", "--at", "-3"],
      "3d4949d38aa473a3f59ee3291cc089e7a035d3556f265e2f6151f674baa9dac7"),
+    ("cv-verify-sextic", SEXTIC, ["cv-verify"],
+     "2c2c70c0c04f9c1b6960ef6b3f7e9e62fe28f3f676bbd43b4fe603d82ac4e8d8"),
+    # codimension 2 and depth 1: Ext^3, above the codimension, is nonzero
+    ("cv-verify-quartic", QUARTIC, ["cv-verify"],
+     "46ff6e1c8ce999c8c966e051a218a060c94a44fd30acfc8f73103b0209e7cba3"),
 ]
 
 

@@ -69,6 +69,7 @@ from fiberfull import (
     free_resolution,
     hochster_hilbert,
     homogenize_omega,
+    krull_dimension,
     local_cohomology_tables,
     make_ring,
     module_kernel,
@@ -77,12 +78,21 @@ from fiberfull import (
     parameter_monic,
     weight_vector_for,
 )
-from fiberfull.resolution import _schreyer_frame, specialize_resolution
+from fiberfull.ext import _ext_from_resolution, _tables_from_resolution
+from fiberfull.resolution import (
+    _codimension,
+    _schreyer_frame,
+    _twist_codimension,
+    specialize_resolution,
+)
 from helpers import (
     all_pairs_engine,
     all_pairs_frame,
+    cokernel_tables,
     frame_invariants,
     graph_colon,
+    graph_ext,
+    is_zero_module,
     reference_str,
     resolution_exact_in_degree,
     restart_minimize,
@@ -462,3 +472,44 @@ def test_fibers_in_the_locus_have_the_generic_tables(M):
         at_c, generic = fiber_hilbert_compare(M, [c, "generic"], window)
         for i in range(Rt.num_positive + 1):
             assert at_c[i] == generic[i], (c, i)
+
+
+def _check_ext_below_the_codimension(M):
+    res = free_resolution(M)
+    codim = _codimension(res.basis)
+    r = M.ring.num_positive
+    window = (-6, 2)
+    tables = None if M.ring.has_parameter else cokernel_tables(res, window)
+    for i in range(min(codim, r + 1, res.length + 1)):
+        assert is_zero_module(_ext_from_resolution(res, i)), i
+        assert is_zero_module(graph_ext(res, i)), i
+        if tables is not None:
+            assert tables[r - i].is_zero(), i
+    if tables is not None:
+        assert tables == _tables_from_resolution(res, window)
+        dim = krull_dimension(M)
+        assert _twist_codimension(res) == (r - dim if dim >= 0 else float("inf"))
+
+
+# fifty examples: a hundred mixed submodules took 16 s against 2 s, 11 s of
+# it in two rank-two examples whose Ext^2 the syzygy-graph reference
+# ``graph_ext`` presents in 5 to 6 s each
+VANISHING_SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=50)
+
+
+@VANISHING_SETTINGS
+@given(mixed_submodules())
+def test_ext_vanishes_below_the_codimension(M):
+    _check_ext_below_the_codimension(M)
+
+
+@VANISHING_SETTINGS
+@given(squarefree_ideals())
+def test_ext_vanishes_below_the_codimension_squarefree(I):
+    _check_ext_below_the_codimension(I)
+
+
+@VANISHING_SETTINGS
+@given(st.one_of(planted_diagonal(), parameter_ideals()))
+def test_ext_vanishes_below_the_codimension_over_parameter_rings(M):
+    _check_ext_below_the_codimension(M)
