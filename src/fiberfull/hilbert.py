@@ -9,8 +9,14 @@ variable is present, the counts per positive-degree monomial are the number
 of parameter powers that stay standard, which is finite exactly when the
 parameter-free generator supports eventually cover everything; otherwise the
 quotient has infinite dimension in some degree and we refuse.
+
+The same numerators give codimensions: a Hilbert series numerator over a
+denominator vanishing at z = 1 to order n vanishes there to order n minus
+the dimension, and ``_order_at_one`` takes that order for the module of a
+resolution and for the leads of a Groebner basis alike.
 """
 
+from math import comb, inf
 from operator import mul
 
 from .errors import InfiniteDimensionError, InvalidArgumentError
@@ -117,40 +123,20 @@ def monomial_quotient_counts(weights, gens, max_degree):
     return series
 
 
-def monomial_quotient_dimension(num_vars, gens):
-    """Krull dimension of k[x]/<monomial gens>: the largest coordinate
-    subspace meeting no generator support, that is ``num_vars`` minus the
-    size of a minimum transversal of the supports (a set of variables that
-    meets every support).  The transversal is found by exact branch and
-    bound.  A node holds chosen and excluded variables; it takes the
-    shortest support its chosen variables do not meet and branches on that
-    support's variables in turn, the k-th branch choosing the k-th variable
-    and excluding the ones before it, so no set is searched twice; an unmet
-    support with only excluded variables leaves no branch.  A node is
-    dropped when its size plus a count of pairwise disjoint unmet supports,
-    each of which needs a variable of its own, reaches the best transversal
-    found."""
-    supports = {frozenset(i for i, e in enumerate(g) if e > 0) for g in gens}
-    if frozenset() in supports:
-        return -1
-    # one variable from each support, or all of them, meets every support
-    best = min(num_vars, len(supports))
-    stack = [(frozenset(), frozenset())]
-    while stack:
-        chosen, excluded = stack.pop()
-        unmet = sorted((s - excluded for s in supports if not s & chosen), key=len)
-        if not unmet:
-            best = min(best, len(chosen))
-            continue
-        packed, disjoint = set(), 0
-        for s in unmet:
-            if not packed & s:
-                packed |= s
-                disjoint += 1
-        if len(chosen) + disjoint < best:
-            branch = sorted(unmet[0])
-            stack.extend((chosen | {v}, excluded.union(branch[:k])) for k, v in enumerate(branch))
-    return num_vars - best
+def _order_at_one(num):
+    """Order of vanishing at z = 1 of the Laurent polynomial whose
+    coefficients are ``num`` (degree -> coefficient): the least m with a
+    nonzero m-th Taylor coefficient there.  The zero polynomial vanishes to
+    infinite order."""
+    num = {e: c for e, c in num.items() if c}
+    if not num:
+        return inf
+    low = min(num)
+    # the m-th Taylor coefficient at z = 1 of z^-low * num(z)
+    m = 0
+    while not sum(c * comb(e - low, m) for e, c in num.items()):
+        m += 1
+    return m
 
 
 def monomials_of_degree(ring, degree):

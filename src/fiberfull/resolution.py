@@ -13,11 +13,11 @@ F_{k+1}^* they are the columns of the transposed map that Ext and the
 local cohomology tables use.
 """
 
-from math import comb, inf
+from math import inf
 
 from .errors import InvalidArgumentError
 from .groebner import _schreyer_levels, buchberger
-from .hilbert import monomial_quotient_dimension
+from .hilbert import _numerator, _order_at_one
 from .modules import GradedFreeModule
 
 
@@ -28,14 +28,15 @@ class Resolution:
     ``basis`` is the reduced basis of the relations that the frame starts
     from, so that the torsion certificate and the codimension of the module
     read the basis its resolution already computed; a specialized
-    resolution has none."""
+    resolution has none.  ``minimal`` stays False until the pruning sweep
+    settles it."""
 
     __slots__ = ("modules", "rows", "minimal", "basis")
 
-    def __init__(self, modules, rows, minimal, basis=None):
+    def __init__(self, modules, rows, basis=None):
         self.modules = list(modules)
         self.rows = list(rows)
-        self.minimal = minimal
+        self.minimal = False
         self.basis = basis
 
     @property
@@ -73,7 +74,6 @@ def free_resolution(pres):
     remain, so it is a free resolution that is not claimed minimal."""
     res = _schreyer_frame(pres)
     _minimize_in_place(res)
-    res.minimal = not res.ring.has_parameter
     return res
 
 
@@ -88,9 +88,8 @@ def specialize_resolution(res, c):
     rows = [[{col: s for col, entry in row.items()
               if not (s := entry.specialize_parameter(c, target)).is_zero()} for row in A]
             for A in res.rows]
-    out = Resolution(modules, rows, False)
+    out = Resolution(modules, rows)
     _minimize_in_place(out)
-    out.minimal = True
     return out
 
 
@@ -105,7 +104,7 @@ def _schreyer_frame(pres):
     for twists, level in _schreyer_levels(G):
         modules.append(GradedFreeModule(pres.ring, twists))
         rows.append(level)
-    return Resolution(modules, rows, False, G)
+    return Resolution(modules, rows, G)
 
 
 def _minimize_in_place(res):
@@ -119,7 +118,8 @@ def _minimize_in_place(res):
     the scan ruled out: one sweep leaves no unit and the result is minimal.
     Over k[t][x] degree-0 entries such as t - 1 may combine into a unit the
     sweep has passed; the result is still a free resolution of the same
-    module.
+    module, so ``res.minimal`` is set exactly when the ring has no
+    parameter.
 
     The rows of ``res`` are pruned as they stand; a stored entry is nonzero,
     so a constant one is a unit.  Rows and columns keep their frame indices
@@ -170,6 +170,7 @@ def _minimize_in_place(res):
         rows.pop()
     res.modules = modules
     res.rows = rows
+    res.minimal = not ring.has_parameter
 
 
 class BettiTable:
@@ -244,17 +245,22 @@ def depth_and_regularity(table, num_vars):
 
 def _codimension(G):
     """Codimension of the module presented by the reduced basis G of its
-    relations: the number of variables (the parameter included) minus the
-    largest dimension of k[x]/<leads in component c> over the components c,
-    which is the Krull dimension of the module.  The zero module has
-    infinite codimension."""
-    leads_by_comp = {}
+    relations, read off the leads with every variable (the parameter
+    included) of degree one: the order of vanishing at z = 1 of the sum
+    over the components c of the numerators of k[x]/<leads in c>.  Each
+    numerator is (1 - z)^(n - dim_c) times a polynomial positive at z = 1,
+    or zero when c holds 1, so the sum vanishes to order n minus the largest
+    dim_c, the Krull dimension of the module.  The zero module has infinite
+    codimension."""
+    leads_by_comp = [[] for _ in range(G.module.rank)]
     for mon, comp in G.leads:
-        leads_by_comp.setdefault(comp, []).append(mon)
-    nvars = G.ring.nvars
-    dim = max((monomial_quotient_dimension(nvars, leads_by_comp.get(comp, []))
-               for comp in range(G.module.rank)), default=-1)
-    return nvars - dim if dim >= 0 else inf
+        leads_by_comp[comp].append(mon)
+    ones = (1,) * G.ring.nvars
+    N = {}
+    for leads in leads_by_comp:
+        for e, c in _numerator(leads, ones).items():
+            N[e] = N.get(e, 0) + c
+    return _order_at_one(N)
 
 
 def _twist_codimension(res):
@@ -268,19 +274,12 @@ def _twist_codimension(res):
     for k, module in enumerate(res.modules):
         for tau in module.twists:
             K[tau] = K.get(tau, 0) + (-1) ** k
-    K = {e: c for e, c in K.items() if c}
-    if not K:
-        return inf
-    low = min(K)
-    # the m-th Taylor coefficient at z = 1 of z^-low * K(z)
-    m = 0
-    while not sum(c * comb(e - low, m) for e, c in K.items()):
-        m += 1
-    return m
+    return _order_at_one(K)
 
 
 def krull_dimension(pres):
-    """Dimension of ambient/<gens> via the initial module; -1 for the zero
+    """Dimension of ambient/<gens> via the initial module, whose summed
+    numerators give the codimension (``_codimension``); -1 for the zero
     module."""
     c = _codimension(buchberger(pres))
     return pres.ring.nvars - c if c != inf else -1

@@ -63,6 +63,22 @@ RANK_TWO_EXT = (
     "ring R vars (x,y,z) weights (1,1,1) field Fp 32003 param t;\n"
     "ideal M = ((t-2)*x + (t+3)*y, x*z, x^2);\n"
 )
+# codimension 0, a finite codimension and an infinite one over k[t][x]: the
+# zero ideal presents every Ext, (t*x*y, x*z) has components of heights 1
+# and 2 in k[t,x,y,z], so only Ext^0 is skipped, and the unit ideal
+# presents none
+ZERO_IDEAL = (
+    "ring R vars (x,y,z) weights (1,1,1) field Fp 32003 param t;\n"
+    "ideal M = ();\n"
+)
+MIXED_HEIGHT = (
+    "ring R vars (x,y,z) weights (1,1,1) field Fp 32003 param t;\n"
+    "ideal M = (t*x*y, x*z);\n"
+)
+UNIT_IDEAL = (
+    "ring R vars (x,y,z) weights (1,1,1) field Fp 32003 param t;\n"
+    "ideal M = (1);\n"
+)
 
 # (test id, input, arguments, sha256 of stdout).  The two checks of
 # LOCUS_INPUT pin certificates whose Ext annihilator is not constant
@@ -96,6 +112,18 @@ GOLDEN = [
     # codimension 2 and depth 1: Ext^3, above the codimension, is nonzero
     ("cv-verify-quartic", QUARTIC, ["cv-verify"],
      "46ff6e1c8ce999c8c966e051a218a060c94a44fd30acfc8f73103b0209e7cba3"),
+    ("fiberfull-zero-ideal", ZERO_IDEAL, ["fiberfull", "--at", "0"],
+     "2d8026b28404207317212ae364f99d5f71756db97f62842abb3a21ff972fd612"),
+    ("locus-zero-ideal", ZERO_IDEAL, ["locus"],
+     "277c5b83c59d3e60d0670163a16b6c5aff6324fe8cc0930095278ca534d9dbac"),
+    ("fiberfull-mixed-height", MIXED_HEIGHT, ["fiberfull", "--at", "0"],
+     "f6fa3bf5e3cf9764a9e5e13615ce95298fe763ae1d6defa925f2399c030d49f4"),
+    ("locus-mixed-height", MIXED_HEIGHT, ["locus"],
+     "f15c1bbcb0add6f5fe170bfc15b8b85ef204263314c491c4fdf467e82b694d1e"),
+    ("fiberfull-unit-ideal", UNIT_IDEAL, ["fiberfull", "--at", "0"],
+     "cf7f1bb53e2b1bdaf9093e96628aa157b96bebfee19581d8baa7ae518ccef572"),
+    ("locus-unit-ideal", UNIT_IDEAL, ["locus"],
+     "a5da19dd405170726e15f05a256400cab389728e237f77f3b0870e6789509bd6"),
 ]
 
 

@@ -39,7 +39,11 @@
     annihilators, verdicts, fiber-full locus and fiber tables on ideals
     over k[t][x,y,z] with planted factors t - c;
   * Hochster's formula against the Ext-duality tables on square-free
-    monomial ideals in five to seven variables over QQ.
+    monomial ideals in five to seven variables over QQ;
+  * the codimension read off the summed numerators of the components
+    against a subset scan of each component's leads, on monomial
+    submodules of rank one to four over k[x,y,z] and k[t][x,y,z], some
+    components with no lead and some holding 1.
 
 Examples are derandomized and nothing is stored between runs."""
 
@@ -97,6 +101,7 @@ from helpers import (
     resolution_exact_in_degree,
     restart_minimize,
     rows_are_sparse,
+    subset_scan_dimension,
     vector_in_submodule,
 )
 
@@ -513,3 +518,34 @@ def test_ext_vanishes_below_the_codimension_squarefree(I):
 @given(st.one_of(planted_diagonal(), parameter_ideals()))
 def test_ext_vanishes_below_the_codimension_over_parameter_rings(M):
     _check_ext_below_the_codimension(M)
+
+
+LEAD_RINGS = [R, make_ring([1, 1, 1], True, field=GF(32003), names=["x", "y", "z"])]
+
+
+@st.composite
+def monomial_submodules(draw):
+    """(presentation, leads per component) of a submodule of rank one to
+    four generated by monomial vectors with exponents up to two, the
+    parameter's included; a component has no lead, the lead 1 alone, or
+    one to four leads."""
+    ring = draw(st.sampled_from(LEAD_RINGS))
+    amb = GradedFreeModule(ring, (0,) * draw(st.integers(min_value=1, max_value=4)))
+    mons = st.tuples(*[st.integers(min_value=0, max_value=2)] * ring.nvars)
+    unit = (0,) * ring.nvars
+    leads = [draw(st.one_of(st.just([]), st.just([unit]), st.lists(mons, min_size=1, max_size=4)))
+             for _ in range(amb.rank)]
+    gens = [amb.basis_vector(c).mul_term(m, 1) for c, ms in enumerate(leads) for m in ms]
+    return SubmodulePresentation(amb, gens), leads
+
+
+@PROPERTY_SETTINGS
+@given(monomial_submodules())
+def test_codimension_is_read_off_the_summed_numerators(drawn):
+    M, leads = drawn
+    n = M.ring.nvars
+    dim = max(subset_scan_dimension(n, ms) for ms in leads)
+    codim = _codimension(buchberger(M))
+    assert codim == (n - dim if dim >= 0 else float("inf"))
+    if all((0,) * n in ms for ms in leads):
+        assert codim == float("inf")
