@@ -19,7 +19,8 @@ group finds the same first divisor as a scan of the whole basis.
 """
 
 import heapq
-from operator import add, mul
+from itertools import combinations_with_replacement
+from operator import add, mul, sub
 
 from .errors import InvalidArgumentError, OrderMismatchError, WeightVectorMismatchError
 from .modules import GradedFreeModule, PolyVector, SubmodulePresentation
@@ -76,12 +77,6 @@ def _tv_add(a, b, field):
     return out
 
 
-def _tv_scale(tv, c, field):
-    if c == field.one:
-        return list(tv)
-    return [(k, mm, field.mul(cf, c)) for k, mm, cf in tv]
-
-
 def _tv_mul_term(tv, mon, coeff, morder, field):
     shift, mul = morder.shift(mon), field.mul
     return [(tuple(map(add, k, shift)), (mon_mul(m, mon), comp), mul(cf, coeff))
@@ -92,7 +87,10 @@ def _monic(tv, field):
     """The marked form of a nonzero term vector: scaled to lead coefficient
     one."""
     coeff = tv[0][2]
-    return tv if coeff == field.one else _tv_scale(tv, field.inv(coeff), field)
+    if coeff == field.one:
+        return tv
+    inv, mul = field.inv(coeff), field.mul
+    return [(k, mm, mul(cf, inv)) for k, mm, cf in tv]
 
 
 def _spoly(a, b, morder, field):
@@ -486,11 +484,23 @@ def is_squarefree(pres):
 # weight vectors and homogenization
 
 
+def _compositions(total, parts):
+    """The compositions of ``total`` into ``parts`` nonnegative parts in
+    lexicographic order, which is that of their partial sums: stars and bars,
+    the nondecreasing sums s_1 <= ... <= s_{parts-1} <= total as
+    ``combinations_with_replacement`` yields them."""
+    for sums in combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(map(sub, sums + (total,), (0,) + sums))
+
+
 def weight_vector_for(G):
     """A nonnegative integer vector giving each element of the reduced basis
     G its marked leading term with slack >= 1; deterministic: minimal total
-    weight, then lexicographically smallest.  The all-zero solution (monomial
-    ideal) is normalized to all ones."""
+    weight, then lexicographically smallest.  The candidates are the
+    compositions of each total weight 0, 1, ..., 10000 into r parts, walked
+    by total and within a total in lexicographic order; the first that
+    qualifies is returned.  The all-zero solution (monomial ideal) is
+    normalized to all ones."""
     ring = G.ring
     if ring.has_parameter:
         raise InvalidArgumentError("weight vectors are computed over parameter-free rings")
@@ -503,21 +513,10 @@ def weight_vector_for(G):
                 constraints.append(mon_div(lead_mon, mon))
     if not constraints:
         return (1,) * r
-
-    def compositions(total, parts):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
-
-    total = 0
-    while total <= 10000:
-        for omega in compositions(total, r):
+    for total in range(10001):
+        for omega in _compositions(total, r):
             if all(sum(map(mul, omega, d)) >= 1 for d in constraints):
                 return omega
-        total += 1
     raise InvalidArgumentError("no weight vector found below total weight 10000")
 
 

@@ -143,21 +143,17 @@ def monomials_of_degree(ring, degree):
     """All monomials of the given weighted degree (parameter-free rings)."""
     if ring.has_parameter:
         raise InvalidArgumentError("monomial enumeration needs a parameter-free ring")
-    weights = ring.weights
-
-    def rec(i, remaining):
-        if i == len(weights) - 1:
-            if remaining % weights[i] == 0:
-                yield (remaining // weights[i],)
-            return
-        w = weights[i]
-        for e in range(remaining // w + 1):
-            for rest in rec(i + 1, remaining - w * e):
-                yield (e,) + rest
-
     if degree < 0:
         return []
-    return [m for m in rec(0, degree)]
+    *head, last = ring.weights
+    # (prefix, degree left), extended one variable at a time in lexicographic
+    # order; a prefix with no degree left gets its zeros once, at the end
+    prefixes = [((), degree)]
+    for w in head:
+        prefixes = [(p + (e,), left - w * e) if left else (p, 0)
+                    for p, left in prefixes for e in range(left // w + 1)]
+    return [p + (0,) * (len(head) - len(p)) + (left // last,)
+            for p, left in prefixes if left % last == 0]
 
 
 class HilbertTable:

@@ -1,7 +1,9 @@
 """Independent route to local cohomology Hilbert functions of square-free
 monomial quotients: reduced simplicial cohomology of links in the associated
 simplicial complex, weighted by counts of strictly negative exponent vectors
-on the face support.
+on the face support.  Those counts are read off the power series
+z^(w_F) / prod_{v in F} (1 - z^(w_v)) of each face F, expanded once over the
+window.
 
 This is deliberately disjoint from the resolution/duality machinery so the
 two can cross-check each other.  The link cohomology of every face does not
@@ -94,30 +96,6 @@ def reduced_cohomology_dims(faces, field):
     return dims
 
 
-def _negative_support_counts(weights, target):
-    """Number of vectors with every entry <= -1 and weighted sum equal to
-    ``target``; weights indexed by the chosen face."""
-    if not weights:
-        return 1 if target == 0 else 0
-    total = -target
-    if total < sum(weights):
-        return 0
-
-    def rec(i, remaining):
-        if i == len(weights) - 1:
-            return 1 if remaining >= weights[i] and remaining % weights[i] == 0 else 0
-        w = weights[i]
-        count = 0
-        upper = remaining - sum(weights[i + 1:])
-        e = w
-        while e <= upper:
-            count += rec(i + 1, remaining - e)
-            e += w
-        return count
-
-    return rec(0, total)
-
-
 @lru_cache(maxsize=1)
 def _link_cohomology(pres):
     """(face, reduced cohomology dimensions of its link) for every face of
@@ -128,23 +106,34 @@ def _link_cohomology(pres):
                  for face in faces)
 
 
+def _negative_support_series(weights, lo):
+    """[c_0, ..., c_{-lo}]: c_k is the number of vectors with every entry
+    <= -1 and weighted sum -k, weights indexed by the chosen face.  These are
+    the coefficients of z^(sum w) / prod_w (1 - z^w) up to z^(-lo)."""
+    counts, shift = [0] * (1 - lo), sum(weights)
+    if shift < len(counts):
+        counts[shift] = 1
+    for w in weights:
+        for k in range(w, len(counts)):
+            counts[k] += counts[k - w]
+    return counts
+
+
 def hochster_hilbert(pres, i, window):
     """Hilbert table of the i-th local cohomology of a square-free monomial
     quotient, via links: each face contributes its reduced cohomology in
     dimension i - |face| - 1 times the count of negative exponent vectors
-    supported on the face with the prescribed total degree."""
+    supported on the face with the prescribed total degree nu, the
+    coefficient of z^(-nu) in its series z^(sum w) / prod_w (1 - z^w).  The
+    series of each contributing face is expanded once, down to the bottom
+    of the window."""
     lo, hi = check_window(window)
     weights = pres.ring.weights
-    contributions = []
+    dims = {}
     for face, coh in _link_cohomology(pres):
         h = coh.get(i - len(face) - 1, 0)
         if h:
-            contributions.append((face, h))
-    dims = {}
-    for nu in range(lo, hi + 1):
-        total = 0
-        for face, h in contributions:
-            total += h * _negative_support_counts([weights[v] for v in face], nu)
-        if total:
-            dims[nu] = total
+            counts = _negative_support_series([weights[v] for v in face], lo)
+            for nu in range(lo, min(hi, 0) + 1):
+                dims[nu] = dims.get(nu, 0) + h * counts[-nu]
     return HilbertTable(window, dims)

@@ -1,5 +1,7 @@
 """Curated test instances shared across the suite."""
 
+from itertools import combinations
+
 from fiberfull import GF, SubmodulePresentation, make_ring, parse_input
 
 # Twenty square-free monomial ideals on four variables covering points,
@@ -72,6 +74,15 @@ def generic_minors(field=None):
     R = make_ring([1] * 6, names=["a", "b", "c", "d", "e", "f"],
                   **({} if field is None else {"field": field}))
     return ideal_from_strings(R, ("a*e - b*d", "a*f - c*d", "b*f - c*e"))
+
+
+def minors_2x2(ring, *rows):
+    """The 2x2 minors of the matrix with the given rows, each a sequence of
+    variable names: row pairs in order, then column pairs in order."""
+    n = len(rows[0])
+    return ideal_from_strings(ring, ["%s*%s - %s*%s" % (top[a], bottom[b], top[b], bottom[a])
+                                     for top, bottom in combinations(rows, 2)
+                                     for a in range(n) for b in range(a + 1, n)])
 
 
 # ideals exercised by the Macaulay-equality and semicontinuity checks

@@ -10,9 +10,13 @@ saturation from a reduced basis of its own, the torsion annihilator
 contracted to k[t] by a block-order basis, the k[t]-torsion of Ext^i read
 off the cokernel of the transposed differential, the parameter values at
 which a fiber's graded pieces jump, the H^i tables from every cokernel of a
-transposed differential, with no short cut below the codimension)."""
+transposed differential, with no short cut below the codimension, and
+recursive references for the library's enumerations: compositions with the
+weight-vector search over them, the monomials of a degree, and the negative
+exponent vectors that Hochster's formula counts)."""
 
 from contextlib import contextmanager
+from operator import mul
 from unittest import mock
 
 import fiberfull.groebner
@@ -123,6 +127,78 @@ def brute_monomial_counts(weights, gens, top):
     ring = make_ring(list(weights))
     return [sum(1 for mon in monomials_of_degree(ring, d)
                 if not any(mon_divides(g, mon) for g in gens)) for d in range(top + 1)]
+
+
+def compositions(total, parts):
+    """The compositions of ``total`` into ``parts`` nonnegative parts in
+    lexicographic order, by recursion on the first part (depth ``parts``)."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def search_weight_vector(G):
+    """The weight vector of a reduced basis by the first search: for each
+    total 0, 1, ..., 10000, the first of ``compositions`` that weighs every
+    lead above each other term of its element by at least one; all ones when
+    no element has a second term, None when the search runs out."""
+    r = G.ring.num_positive
+    constraints = [mon_div(lead_mon, mon) for v, (lead_mon, _) in zip(G.elements, G.leads)
+                   for mon, _ in v.components[0].terms if mon != lead_mon]
+    if not constraints:
+        return (1,) * r
+    for total in range(10001):
+        for omega in compositions(total, r):
+            if all(sum(map(mul, omega, d)) >= 1 for d in constraints):
+                return omega
+    return None
+
+
+def recursive_monomials_of_degree(ring, degree):
+    """All monomials of the given weighted degree in lexicographic order, by
+    recursion on the first exponent (depth the number of variables)."""
+    weights = ring.weights
+
+    def rec(i, remaining):
+        if i == len(weights) - 1:
+            if remaining % weights[i] == 0:
+                yield (remaining // weights[i],)
+            return
+        w = weights[i]
+        for e in range(remaining // w + 1):
+            for rest in rec(i + 1, remaining - w * e):
+                yield (e,) + rest
+
+    if degree < 0:
+        return []
+    return [m for m in rec(0, degree)]
+
+
+def negative_support_counts(weights, target):
+    """Number of vectors with every entry <= -1 and weighted sum equal to
+    ``target``; weights indexed by the chosen face."""
+    if not weights:
+        return 1 if target == 0 else 0
+    total = -target
+    if total < sum(weights):
+        return 0
+
+    def rec(i, remaining):
+        if i == len(weights) - 1:
+            return 1 if remaining >= weights[i] and remaining % weights[i] == 0 else 0
+        w = weights[i]
+        count = 0
+        upper = remaining - sum(weights[i + 1:])
+        e = w
+        while e <= upper:
+            count += rec(i + 1, remaining - e)
+            e += w
+        return count
+
+    return rec(0, total)
 
 
 def subset_scan_dimension(num_vars, gens):

@@ -23,8 +23,22 @@ from fiberfull import (
     syzygies,
     weight_vector_for,
 )
-from fixtures import ideal_from_strings, macaulay_suite, ring2, ring3, ring4, twisted_cubic
-from helpers import linear_scan_division, rand_poly, spair_closure_holds, vector_in_submodule
+from fixtures import (
+    ideal_from_strings,
+    macaulay_suite,
+    minors_2x2,
+    ring2,
+    ring3,
+    ring4,
+    twisted_cubic,
+)
+from helpers import (
+    linear_scan_division,
+    rand_poly,
+    search_weight_vector,
+    spair_closure_holds,
+    vector_in_submodule,
+)
 
 
 def _ideal(ring, *gens):
@@ -241,6 +255,27 @@ def test_weight_vector_deterministic_and_minimal():
         for a in range(s + 1):
             for b in range(s - a + 1):
                 assert not satisfies((a, b, s - a - b))
+
+
+def _weight_vector_instances():
+    """The twisted cubic, the rational normal quartic, the 2x2 minors of
+    generic 2x3, 2x4 and 2x5 matrices and the 2-minors of a generic 3x3."""
+    F = GF(32003)
+    yield twisted_cubic(F)
+    R5 = make_ring([1] * 5, field=F)
+    yield minors_2x2(R5, R5.names[:4], R5.names[1:])
+    for n in (3, 4, 5):
+        R = make_ring([1] * (2 * n), field=F)
+        yield minors_2x2(R, R.names[:n], R.names[n:])
+    R9 = make_ring([1] * 9, field=F)
+    yield minors_2x2(R9, R9.names[:3], R9.names[3:6], R9.names[6:])
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_weight_vector_equals_the_search_over_compositions(order):
+    for P in _weight_vector_instances():
+        G = buchberger(P, getattr(TermOrder, order)())
+        assert weight_vector_for(G) == search_weight_vector(G), [str(g) for g in P.generators]
 
 
 def test_groebner_over_prime_field():

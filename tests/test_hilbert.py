@@ -16,6 +16,7 @@ from fiberfull import (
     hilbert_function,
     krull_dimension,
     make_ring,
+    monomials_of_degree,
 )
 from fiberfull.hilbert import monomial_quotient_counts
 from fiberfull.rings import Polynomial
@@ -170,3 +171,13 @@ def test_quotient_dimension_in_thirty_variables():
     # ten disjoint triangles need two vertices each
     triangles = [s for k in range(0, n, 3) for s in itertools.combinations(range(k, k + 3), 2)]
     assert _monomial_quotient_dimension(n, ideal(triangles)) == 10
+
+
+def test_monomials_of_degree_in_1100_variables():
+    # the enumeration extends prefixes in a loop, so its depth does not grow
+    # with the number of variables
+    R = make_ring([1] * 1100)
+    mons = monomials_of_degree(R, 1)
+    assert mons == [tuple(int(j == i) for j in range(1100)) for i in reversed(range(1100))]
+    assert monomials_of_degree(R, 0) == [(0,) * 1100]
+    assert monomials_of_degree(R, -1) == []

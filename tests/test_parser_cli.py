@@ -258,6 +258,21 @@ def test_cli_window_takes_a_negative_value_after_a_space(tmp_path):
         assert spaced.stdout == joined.stdout, args
 
 
+def test_cli_cv_verify_in_a_ring_of_1100_variables(tmp_path, capsys):
+    # the weight vector is found by a walk whose depth does not grow with
+    # the number of variables
+    names = ",".join("x%d" % i for i in range(1100))
+    path = _write(tmp_path, "wide.ring",
+                  "ring S vars (%s) weights (%s) field QQ;\n" % (names, ",".join(["1"] * 1100))
+                  + "ideal I = (x0*x1 - x2*x3);\nwindow -1:0;\n")
+    assert cli.main(["cv-verify", path]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["omega"] == [0, 1] + [0] * 1098
+    assert report["family"] == ["x0*x1 + 32002*x2*x3*t"]
+    assert report["equal"] is True and report["extremal_equal"] is True
+    assert report["betti_ideal"] == report["betti_initial"]
+
+
 def test_cli_flag_errors_are_usage_errors(tmp_path, capsys):
     path = _write(tmp_path, "conic.ring",
                   "ring S vars (x,y,z) weights (1,1,1) field QQ;\nideal I = (x*z - y^2);\n")

@@ -43,7 +43,11 @@
   * the codimension read off the summed numerators of the components
     against a subset scan of each component's leads, on monomial
     submodules of rank one to four over k[x,y,z] and k[t][x,y,z], some
-    components with no lead and some holding 1.
+    components with no lead and some holding 1;
+  * the enumerations without recursion against their recursive references:
+    the compositions the weight-vector search walks, in order; the
+    monomials of a weighted degree, in order; and the counts of negative
+    exponent vectors on a face that Hochster's formula reads off a series.
 
 Examples are derandomized and nothing is stored between runs."""
 
@@ -83,6 +87,8 @@ from fiberfull import (
     weight_vector_for,
 )
 from fiberfull.ext import _ext_from_resolution, _tables_from_resolution
+from fiberfull.groebner import _compositions
+from fiberfull.hochster import _negative_support_series
 from fiberfull.resolution import (
     _codimension,
     _schreyer_frame,
@@ -93,10 +99,13 @@ from helpers import (
     all_pairs_engine,
     all_pairs_frame,
     cokernel_tables,
+    compositions,
     frame_invariants,
     graph_colon,
     graph_ext,
     is_zero_module,
+    negative_support_counts,
+    recursive_monomials_of_degree,
     reference_str,
     resolution_exact_in_degree,
     restart_minimize,
@@ -549,3 +558,25 @@ def test_codimension_is_read_off_the_summed_numerators(drawn):
     assert codim == (n - dim if dim >= 0 else float("inf"))
     if all((0,) * n in ms for ms in leads):
         assert codim == float("inf")
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(min_value=0, max_value=6), st.integers(min_value=1, max_value=6))
+def test_compositions_come_in_the_order_of_the_recursion(total, parts):
+    assert list(_compositions(total, parts)) == list(compositions(total, parts))
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=5),
+       st.integers(min_value=-1, max_value=8))
+def test_monomials_of_degree_come_in_the_order_of_the_recursion(weights, degree):
+    ring = make_ring(weights)
+    assert monomials_of_degree(ring, degree) == recursive_monomials_of_degree(ring, degree)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.integers(min_value=1, max_value=3), max_size=4),
+       st.integers(min_value=-12, max_value=1))
+def test_negative_support_series_counts_as_the_recursion(weights, lo):
+    assert _negative_support_series(weights, lo) == [negative_support_counts(weights, -k)
+                                                     for k in range(1 - lo)]

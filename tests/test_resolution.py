@@ -25,6 +25,7 @@ from fiberfull.resolution import _schreyer_frame, specialize_resolution
 from fixtures import (
     ideal_from_strings,
     macaulay_suite,
+    minors_2x2,
     parameter_families,
     ring2,
     ring4,
@@ -258,20 +259,12 @@ def test_minimal_pair_frame_keeps_the_family_invariants(name):
         assert invariants == frame_invariants(pres)
 
 
-def _minors_2x2(ring, top, bottom):
-    """The 2x2 minors of the matrix with rows ``top`` and ``bottom``, given
-    as variable names."""
-    n = len(top)
-    return ideal_from_strings(ring, ["%s*%s - %s*%s" % (top[a], bottom[b], top[b], bottom[a])
-                                     for a in range(n) for b in range(a + 1, n)])
-
-
 def test_minimal_pair_frame_of_the_cliff():
     # the all-pairs frame of either ideal has 2^15 = 32768 generators in all
     R12 = make_ring([1] * 12, field=GF(32003))
-    minors = _minors_2x2(R12, R12.names[:6], R12.names[6:])
+    minors = minors_2x2(R12, R12.names[:6], R12.names[6:])
     R7 = make_ring([1] * 7, field=GF(32003))
-    sextic = _minors_2x2(R7, R7.names[:6], R7.names[1:])
+    sextic = minors_2x2(R7, R7.names[:6], R7.names[1:])
     for pres in (minors, sextic):
         assert _schreyer_frame(pres).ranks() == [1, 15, 40, 45, 24, 5]
 
