@@ -126,20 +126,20 @@ def _index_add(index, idx, b):
     index.setdefault(bc, []).append((idx, bm, b))
 
 
-def _tv_normal_form(tv, index, morder, field, quotients=None, skip=None):
+def _tv_normal_form(tv, index, morder, field, quotients=None):
     """Full normal form against a marked basis given by its lead index; every
     term of the result is outside the initial module of the basis.  Each term
     is divided by the first element of its component group whose lead divides
-    it, which is the first such element of the basis.  ``skip`` leaves out
-    one basis position.  ``quotients`` accumulates the division coefficients
-    per basis position when supplied."""
+    it, which is the first such element of the basis.  ``quotients``
+    accumulates the division coefficients per basis position when
+    supplied."""
     work = list(tv)
     out = []
     pos = 0
     while pos < len(work):
         _, (m, comp), coeff = work[pos]
         for idx, bm, b in index.get(comp, ()):
-            if idx != skip and mon_divides(bm, m):
+            if mon_divides(bm, m):
                 break
         else:
             out.append(work[pos])
@@ -234,9 +234,11 @@ def gb_engine(tvs, morder, ring, twists):
 
 
 def _interreduce(basis, morder, field):
-    """Minimalize leads, then tail-reduce; result is the unique reduced basis
-    sorted ascending by leading key.  No other minimal lead divides a lead,
-    so tail reduction keeps each element monic and in its place."""
+    """Minimalize leads, then reduce tails; result is the unique reduced
+    basis sorted ascending by leading key.  No other kept lead divides a
+    kept lead, and no element's lead divides its own tail, whose terms all
+    lie below it; so each element keeps its lead and only its tail is
+    divided, by the whole kept basis."""
     kept = []
     index = {}
     for b in sorted(basis, key=lambda b: b[0][0]):
@@ -245,7 +247,7 @@ def _interreduce(basis, morder, field):
             continue
         _index_add(index, len(kept), b)
         kept.append(b)
-    return [_tv_normal_form(b, index, morder, field, skip=i) for i, b in enumerate(kept)]
+    return [b[:1] + _tv_normal_form(b[1:], index, morder, field) for b in kept]
 
 
 class GroebnerBasis:

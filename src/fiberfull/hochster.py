@@ -53,7 +53,8 @@ def link(faces, face):
 
 def reduced_cohomology_dims(faces, field):
     """Reduced simplicial cohomology dimensions over the field, augmented
-    complex included: the empty complex has one unit of H~^{-1}."""
+    complex included: the empty complex has one unit of H~^{-1}.  ``faces``
+    is a simplicial complex, so every facet of a face is a face."""
     if not faces:
         return {}
     by_dim = {}
@@ -62,35 +63,17 @@ def reduced_cohomology_dims(faces, field):
     for d in by_dim:
         by_dim[d] = sorted(by_dim[d], key=sorted)
     top = max(by_dim)
+    # rank of the coboundary C^d -> C^{d+1}, read off its transpose: the row
+    # of a (d+1)-face holds (-1)^pos at the facet without its pos-th vertex
     ranks = {}
-    sizes = {d: len(by_dim.get(d, [])) for d in range(-1, top + 1)}
-    signs = (1, field.neg(1))
     for d in range(-1, top):
-        lower = by_dim.get(d, [])
-        upper = by_dim.get(d + 1, [])
-        if not lower or not upper:
-            ranks[d] = 0
-            continue
-        index = {f: i for i, f in enumerate(lower)}
-        rows = []
-        for f in upper:
-            row = [0] * len(lower)
-            verts = sorted(f)
-            for pos, v in enumerate(verts):
-                sub = frozenset(f - {v})
-                j = index.get(sub)
-                if j is not None:
-                    row[j] = signs[pos % 2]
-            rows.append(row)
-        # rank of the coboundary C^d -> C^{d+1} equals the rank of its
-        # transpose, assembled here with one row per (d+1)-face
-        ranks[d] = matrix_rank(field, rows)
+        index = {f: i for i, f in enumerate(by_dim[d])}
+        ranks[d] = matrix_rank(field, [{index[f - {v}]: (-1) ** pos
+                                        for pos, v in enumerate(sorted(f))}
+                                       for f in by_dim[d + 1]])
     dims = {}
     for d in range(-1, top + 1):
-        dim_cd = sizes.get(d, 0)
-        out_rank = ranks.get(d, 0)
-        in_rank = ranks.get(d - 1, 0)
-        h = dim_cd - out_rank - in_rank
+        h = len(by_dim[d]) - ranks.get(d, 0) - ranks.get(d - 1, 0)
         if h:
             dims[d] = h
     return dims

@@ -1,16 +1,17 @@
 """Exact matrix rank over a coefficient field by sparse integer elimination.
 
-Matrices are lists of row lists holding field elements: ints or Fractions
-over QQ, ints over F_p.  Each row is read once into a sparse
-``{column: int}`` row and reduced against the pivot rows found so far, each
-kept under its leading column.  Over QQ a row is scaled by the lcm of its
-denominators and eliminated fraction-free, ``a*row - b*pivot`` followed by
-division by the gcd of the entries, so no Fraction is ever built (Bareiss,
-"Sylvester's identity and multistep integer-preserving Gaussian
-elimination", Math. Comp. 1968).  Over F_p the arithmetic is modular.  Both
-ranks are exact: a rank modulo a prime is never taken for the rank over QQ,
-since it can be smaller.  Used for simplicial cohomology ranks and for
-degreewise exactness checks.
+A matrix is a list of sparse rows, each a ``{column: entry}`` dict of field
+elements: ints or Fractions over QQ, ints over F_p.  A column that a row
+does not name holds zero.  Each row is read once into a ``{column: int}``
+row without its zero entries and reduced against the pivot rows found so
+far, each kept under its leading column.  Over QQ a row is scaled by the
+lcm of its denominators and eliminated fraction-free, ``a*row - b*pivot``
+followed by division by the gcd of the entries, so no Fraction is ever
+built (Bareiss, "Sylvester's identity and multistep integer-preserving
+Gaussian elimination", Math. Comp. 1968).  Over F_p the arithmetic is
+modular.  Both ranks are exact: a rank modulo a prime is never taken for
+the rank over QQ, since it can be smaller.  Used for simplicial cohomology
+ranks and for degreewise exactness checks.
 """
 
 from math import gcd, lcm
@@ -19,7 +20,7 @@ from math import gcd, lcm
 def _integer_row(row):
     """A row of rationals as a primitive sparse integer row with the same
     span."""
-    nonzero = [(j, v) for j, v in enumerate(row) if v]
+    nonzero = [(j, v) for j, v in row.items() if v]
     scale = lcm(*(v.denominator for _, v in nonzero))
     return _primitive({j: v.numerator * (scale // v.denominator) for j, v in nonzero})
 
@@ -61,12 +62,13 @@ def _eliminate_mod_p(row, pivot, col, p):
 
 
 def matrix_rank(field, rows):
-    """Rank over ``field`` of the matrix with the given rows."""
+    """Rank over ``field`` of the matrix with the given ``{column: entry}``
+    rows."""
     p = field.p
     pivots = {}
     for row in rows:
         if p:
-            r = {j: v % p for j, v in enumerate(row) if v % p}
+            r = {j: v % p for j, v in row.items() if v % p}
         else:
             r = _integer_row(row)
         while r:

@@ -70,11 +70,6 @@ class TermOrder:
         if self.kind in ("grevlex", "block-x-over-t"):
             return ring.canonical_key(mon)
         # weight-refined
-        r = len(ring.weights)
-        if len(self.omega) != r:
-            raise OrderMismatchError(
-                "weight vector has %d entries for a ring with %d positive-degree variables"
-                % (len(self.omega), r))
         w = sum(o * e for o, e in zip(self.omega, mon))
         return (w, *ring.canonical_key(mon))
 
@@ -121,11 +116,17 @@ class TOPOrder:
     exponent.  Within one component this is the ring order; across
     components an x-module term m*e_c outranks every t-multiple of a smaller
     one, so a reduced basis of a module over k[t][x] is led by its x-module
-    terms, as it is for an ideal."""
+    terms, as it is for an ideal.  A weight-refined order must carry one
+    weight per positive-degree variable of the ring."""
 
     __slots__ = ("ring", "term_order", "_head", "_tail")
 
     def __init__(self, ring, term_order):
+        omega, r = term_order.omega, len(ring.weights)
+        if omega is not None and len(omega) != r:
+            raise OrderMismatchError(
+                "weight vector has %d entries for a ring with %d positive-degree variables"
+                % (len(omega), r))
         self.ring = ring
         self.term_order = term_order
         # the slices of a term key before and after the position

@@ -10,10 +10,12 @@ saturation from a reduced basis of its own, the torsion annihilator
 contracted to k[t] by a block-order basis, the k[t]-torsion of Ext^i read
 off the cokernel of the transposed differential, the parameter values at
 which a fiber's graded pieces jump, the H^i tables from every cokernel of a
-transposed differential, with no short cut below the codimension, and
+transposed differential, with no short cut below the codimension,
 recursive references for the library's enumerations: compositions with the
 weight-vector search over them, the monomials of a degree, and the negative
-exponent vectors that Hochster's formula counts)."""
+exponent vectors that Hochster's formula counts, interreduction by full
+division of each kept element, and simplicial cohomology from dense
+coboundary rows)."""
 
 from contextlib import contextmanager
 from operator import mul
@@ -44,7 +46,6 @@ from fiberfull.ext import _dual_columns, _tables_from_resolution
 from fiberfull.fiberfull import _module_certificates
 from fiberfull.groebner import (
     _index_add,
-    _interreduce,
     _lead_degrees,
     _lead_index,
     _monic,
@@ -201,6 +202,53 @@ def negative_support_counts(weights, target):
     return rec(0, total)
 
 
+def dense_reduced_cohomology_dims(faces, field):
+    """Reduced simplicial cohomology dimensions over the field, augmented
+    complex included, from dense coboundary rows that look every facet up
+    and give a missing one the entry zero.  The rows reach ``matrix_rank``
+    as ``{column: entry}`` dicts, zeros included."""
+    if not faces:
+        return {}
+    by_dim = {}
+    for f in faces:
+        by_dim.setdefault(len(f) - 1, []).append(f)
+    for d in by_dim:
+        by_dim[d] = sorted(by_dim[d], key=sorted)
+    top = max(by_dim)
+    ranks = {}
+    sizes = {d: len(by_dim.get(d, [])) for d in range(-1, top + 1)}
+    signs = (1, field.neg(1))
+    for d in range(-1, top):
+        lower = by_dim.get(d, [])
+        upper = by_dim.get(d + 1, [])
+        if not lower or not upper:
+            ranks[d] = 0
+            continue
+        index = {f: i for i, f in enumerate(lower)}
+        rows = []
+        for f in upper:
+            row = [0] * len(lower)
+            verts = sorted(f)
+            for pos, v in enumerate(verts):
+                sub = frozenset(f - {v})
+                j = index.get(sub)
+                if j is not None:
+                    row[j] = signs[pos % 2]
+            rows.append(row)
+        # rank of the coboundary C^d -> C^{d+1} equals the rank of its
+        # transpose, assembled here with one row per (d+1)-face
+        ranks[d] = matrix_rank(field, [dict(enumerate(row)) for row in rows])
+    dims = {}
+    for d in range(-1, top + 1):
+        dim_cd = sizes.get(d, 0)
+        out_rank = ranks.get(d, 0)
+        in_rank = ranks.get(d - 1, 0)
+        h = dim_cd - out_rank - in_rank
+        if h:
+            dims[d] = h
+    return dims
+
+
 def subset_scan_dimension(num_vars, gens):
     """Krull dimension of k[x]/<monomial gens> by scanning all 2^n coordinate
     subspaces for the largest one that contains no generator support."""
@@ -235,9 +283,9 @@ def spair_closure_holds(G):
 def all_pairs_engine(tvs, morder, ring, twists):
     """Reduced marked basis from raw term vectors by Buchberger's algorithm
     with no criterion: every pair of elements whose leads share a component
-    is reduced, first in first out, and the basis is interreduced as
-    ``gb_engine`` does.  Takes the arguments of ``gb_engine``, so it can
-    stand in for it."""
+    is reduced, first in first out, and the basis is interreduced by
+    ``reference_interreduce``.  Takes the arguments of ``gb_engine``, so it
+    can stand in for it."""
     field = ring.field
     basis = []
     index = {}
@@ -257,7 +305,21 @@ def all_pairs_engine(tvs, morder, ring, twists):
         rem = _tv_normal_form(sp, index, morder, field)
         if rem:
             enter(_monic(rem, field))
-    return _interreduce(basis, morder, field)
+    return reference_interreduce(basis, morder, field)
+
+
+def reference_interreduce(basis, morder, field):
+    """Minimalize leads, then divide each kept element fully, lead included,
+    by the kept basis with its own position left out (a linear scan).  The
+    result is what ``groebner._interreduce`` must return."""
+    kept = []
+    for b in sorted(basis, key=lambda b: b[0][0]):
+        m, c = b[0][1]
+        if any(k[0][1][1] == c and mon_divides(k[0][1][0], m) for k in kept):
+            continue
+        kept.append(b)
+    return [linear_scan_division(b, kept, morder, field, skip=i)[0]
+            for i, b in enumerate(kept)]
 
 
 def all_pairs_schreyer_level(marked, morder, ring, degrees):
@@ -321,8 +383,9 @@ def frame_invariants(pres, window=(-6, 2)):
 
 
 def degree_slice_matrix(res, k, nu):
-    """Matrix of d_{k+1} restricted to degree nu, rows indexed by the source
-    basis, columns by the target basis."""
+    """Matrix of d_{k+1} restricted to degree nu, as sparse ``{column:
+    entry}`` rows: rows indexed by the source basis, columns by the target
+    basis."""
     ring = res.ring
     source = res.modules[k + 1]
     target = res.modules[k]
@@ -338,9 +401,8 @@ def degree_slice_matrix(res, k, nu):
             tgt_basis.extend((mon, comp) for mon in monomials_of_degree(ring, d))
     tgt_index = {mc: i for i, mc in enumerate(tgt_basis)}
     rows = []
-    field = ring.field
     for mon, comp in src_basis:
-        row = [field.zero] * len(tgt_basis)
+        row = {}
         for tcomp, target_row in enumerate(res.rows[k]):
             if comp in target_row:
                 for m, c in target_row[comp].mul_term(mon, 1).terms:

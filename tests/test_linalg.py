@@ -44,6 +44,11 @@ def _random_matrix(rng, field):
     return rows, ncols
 
 
+def _sparse(rows):
+    """Dense rows as ``{column: entry}`` rows, zero entries included."""
+    return [dict(enumerate(row)) for row in rows]
+
+
 def _sympy_rank(field, rows, ncols):
     import sympy
     from sympy.polys.matrices import DomainMatrix
@@ -63,18 +68,27 @@ def test_rank_matches_sympy(field):
     rng = random.Random(2024)
     for _ in range(150):
         rows, ncols = _random_matrix(rng, field)
-        assert matrix_rank(field, rows) == _sympy_rank(field, rows, ncols), rows
+        assert matrix_rank(field, _sparse(rows)) == _sympy_rank(field, rows, ncols), rows
 
 
 def test_rank_edge_shapes():
     assert matrix_rank(QQ, []) == 0
     assert matrix_rank(GF(P), []) == 0
-    assert matrix_rank(QQ, [[], []]) == 0
-    assert matrix_rank(QQ, [[0, 0], [Fraction(0), 0]]) == 0
+    assert matrix_rank(QQ, [{}, {}]) == 0
+    assert matrix_rank(QQ, _sparse([[0, 0], [Fraction(0), 0]])) == 0
     # ints and Fractions mix over QQ; entries of F_p are ints mod p
-    assert matrix_rank(QQ, [[1, Fraction(1, 2)], [2, 1]]) == 1
-    assert matrix_rank(QQ, [[Fraction(1, 3), 1], [1, Fraction(1, 3)]]) == 2
-    assert matrix_rank(GF(3), [[1, 2], [2, 1]]) == 1
+    assert matrix_rank(QQ, _sparse([[1, Fraction(1, 2)], [2, 1]])) == 1
+    assert matrix_rank(QQ, _sparse([[Fraction(1, 3), 1], [1, Fraction(1, 3)]])) == 2
+    assert matrix_rank(GF(3), _sparse([[1, 2], [2, 1]])) == 1
+    # a column that a row does not name holds zero, as does an entry that is
+    # zero, or zero mod p; columns need not be contiguous or in order
+    for field in (QQ, GF(3)):
+        assert matrix_rank(field, [{}]) == 0
+        assert matrix_rank(field, [{4: 0, 1: field.zero}, {}]) == 0
+        assert matrix_rank(field, [{7: 1}, {}, {0: 0, 7: 2}, {3: 0}]) == 1
+        assert matrix_rank(field, [{9: 1, 2: 0}, {2: 1}, {2: 1, 9: 1, 5: 0}]) == 2
+    assert matrix_rank(QQ, [{0: 3, 1: 6}, {5: 1}]) == 2
+    assert matrix_rank(GF(3), [{0: 3, 1: 6}, {5: 1}]) == 1
 
 
 def test_projective_plane_cohomology_depends_on_characteristic():

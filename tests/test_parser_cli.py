@@ -273,6 +273,26 @@ def test_cli_cv_verify_in_a_ring_of_1100_variables(tmp_path, capsys):
     assert report["betti_ideal"] == report["betti_initial"]
 
 
+def test_cli_weight_vector_of_the_wrong_length_is_an_order_mismatch(tmp_path, capsys):
+    # the length is checked where the order meets the ring, so an empty
+    # ideal, which needs no order key, is refused as a nonempty one is
+    head = "ring S vars (x,y) weights (1,1) field QQ;\n"
+    for ideal in ("()", "(x*y - y^2)"):
+        for command, weights in (("gb", "weights:1,2,3"), ("cv-verify", "weights:1")):
+            flagged = _write(tmp_path, "flag.ring", head + "ideal I = %s;\n" % ideal)
+            stated = _write(tmp_path, "stated.ring",
+                            head + "order %s;\nideal I = %s;\n" % (weights, ideal))
+            for argv in ([command, flagged, "--order", weights], [command, stated]):
+                assert cli.main(argv) == 1, argv
+                error = json.loads(capsys.readouterr().out)["error"]
+                assert error["kind"] == "order-mismatch", argv
+                assert error["message"] == (
+                    "weight vector has %d entries for a ring with 2 positive-degree variables"
+                    % len(weights.split(","))), argv
+        assert cli.main(["gb", flagged, "--order", "weights:1,2"]) == 0
+        assert json.loads(capsys.readouterr().out)["order"] == "weights:1,2"
+
+
 def test_cli_flag_errors_are_usage_errors(tmp_path, capsys):
     path = _write(tmp_path, "conic.ring",
                   "ring S vars (x,y,z) weights (1,1,1) field QQ;\nideal I = (x*z - y^2);\n")

@@ -47,11 +47,21 @@
   * the enumerations without recursion against their recursive references:
     the compositions the weight-vector search walks, in order; the
     monomials of a weighted degree, in order; and the counts of negative
-    exponent vectors on a face that Hochster's formula reads off a series.
+    exponent vectors on a face that Hochster's formula reads off a series;
+  * interreduction, which divides the tails only, against full division of
+    each kept element with its own position left out, over QQ and
+    GF(32003): on the raw Buchberger bases of submodules of rank one to
+    three over k[x,y,z] and k[t][x,y,z], a generator repeated so that two
+    leads coincide, and on the generators themselves with more repeated
+    leads spliced in;
+  * the reduced cohomology of a simplicial complex from sparse coboundary
+    rows against dense rows, on closures of random facet sets on at most
+    seven vertices over QQ, GF(2) and GF(3).
 
 Examples are derandomized and nothing is stored between runs."""
 
 from fractions import Fraction
+from itertools import combinations
 from unittest import mock
 
 import pytest
@@ -87,8 +97,8 @@ from fiberfull import (
     weight_vector_for,
 )
 from fiberfull.ext import _ext_from_resolution, _tables_from_resolution
-from fiberfull.groebner import _compositions
-from fiberfull.hochster import _negative_support_series
+from fiberfull.groebner import _compositions, _interreduce, _monic, _tv_from_vector
+from fiberfull.hochster import _negative_support_series, reduced_cohomology_dims
 from fiberfull.resolution import (
     _codimension,
     _schreyer_frame,
@@ -100,12 +110,14 @@ from helpers import (
     all_pairs_frame,
     cokernel_tables,
     compositions,
+    dense_reduced_cohomology_dims,
     frame_invariants,
     graph_colon,
     graph_ext,
     is_zero_module,
     negative_support_counts,
     recursive_monomials_of_degree,
+    reference_interreduce,
     reference_str,
     resolution_exact_in_degree,
     restart_minimize,
@@ -580,3 +592,67 @@ def test_monomials_of_degree_come_in_the_order_of_the_recursion(weights, degree)
 def test_negative_support_series_counts_as_the_recursion(weights, lo):
     assert _negative_support_series(weights, lo) == [negative_support_counts(weights, -k)
                                                      for k in range(1 - lo)]
+
+
+@st.composite
+def interreduction_inputs(draw):
+    """A submodule of rank one to three of a free module over k[x,y,z] or
+    k[t][x,y,z], k = QQ or GF(32003): one to three generators, each nonzero
+    in one or more components, a component a form of degree one or two with
+    one to three terms whose coefficients are constants or, over k[t],
+    t - c; then one generator again, times 2, so that two leads coincide."""
+    ring = draw(st.sampled_from(GB_RINGS + PARAM_RINGS))
+    base = ring.without_parameter() if ring.has_parameter else ring
+    pad = (0,) * (ring.nvars - base.nvars)
+    pool = [ring.constant(c) for c in (1, -1, 2, 3)]
+    if ring.has_parameter:
+        pool += [ring.parameter() - ring.constant(c) for c in range(3)]
+    amb = GradedFreeModule(ring, (0,) * draw(st.integers(min_value=1, max_value=3)))
+    gens = []
+    for d in draw(st.lists(st.integers(min_value=1, max_value=2), min_size=1, max_size=3)):
+        comps = [ring.zero()] * amb.rank
+        for c in draw(st.lists(st.integers(min_value=0, max_value=amb.rank - 1), min_size=1,
+                               max_size=amb.rank, unique=True)):
+            mons = draw(st.lists(st.sampled_from(monomials_of_degree(base, d)), min_size=1,
+                                 max_size=3, unique=True))
+            comps[c] = sum((draw(st.sampled_from(pool)).mul_term(m + pad, 1) for m in mons),
+                           ring.zero())
+        gens.append(PolyVector(amb, tuple(comps)))
+    gens.append(draw(st.sampled_from(gens)).mul_term((0,) * ring.nvars, 2))
+    return SubmodulePresentation(amb, gens)
+
+
+@PROPERTY_SETTINGS
+@given(interreduction_inputs())
+def test_interreduction_divides_the_tails_only(U):
+    raw = []
+
+    def recording(basis, morder, field):
+        raw.append((basis, morder, field))
+        return _interreduce(basis, morder, field)
+
+    with mock.patch.object(fiberfull.groebner, "_interreduce", recording):
+        buchberger(U)
+    (basis, morder, field), = raw
+    monic = [_monic(tv, field) for tv in (_tv_from_vector(v, morder) for v in U.generators) if tv]
+    # each generator's lead on the terms of another that lie below it
+    spliced = [a[:1] + [term for term in b if term[0] < a[0][0]]
+               for a in monic for b in monic if a is not b and a[0][1][1] == b[0][1][1]]
+    for candidate in (basis, monic + spliced):
+        assert (_interreduce(candidate, morder, field)
+                == reference_interreduce(candidate, morder, field))
+
+
+@st.composite
+def simplicial_complexes(draw):
+    """The closure of zero to five facets on at most seven vertices."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    facets = draw(st.lists(st.sets(st.integers(min_value=0, max_value=n - 1)), max_size=5))
+    return {frozenset(s) for f in facets for k in range(len(f) + 1)
+            for s in combinations(sorted(f), k)}
+
+
+@PROPERTY_SETTINGS
+@given(simplicial_complexes(), st.sampled_from([QQ, GF(2), GF(3)]))
+def test_sparse_coboundary_rows_give_the_dense_cohomology(faces, field):
+    assert reduced_cohomology_dims(faces, field) == dense_reduced_cohomology_dims(faces, field)
