@@ -4,19 +4,26 @@ degenerations.
 
 The base is k[t] with t of degree 0 adjoined to the graded ring.  Freeness of
 a finitely generated graded piece over the localized base at (t - c) is
-exactly the absence of (t - c)-torsion, so every check reduces to computing
-the torsion submodule and a monic annihilator in k[t]:
+exactly the absence of (t - c)-torsion, so every check reduces to deciding
+whether a module has k[t]-torsion and, when it has, to its torsion
+generators and a monic annihilator in k[t]:
 
-  * the torsion of ambient/<relations> is the saturation of the relations at
-    a single polynomial h(t), the least common multiple of the parameter
-    coefficients of the leading positive-degree terms of the reduced basis;
-  * the certificate polynomial generates the contraction to k[t] of the
-    annihilator of the torsion generators.  The module order ranks the
-    positive-degree part of a term first, then its position, then its power
-    of t (``orders.TOPOrder``), so every x-module term m*e_c sits above each
-    t-multiple of a smaller one: the lead of a basis element is its leading
-    x-module term, which is what generic freeness reads, and one basis per
-    module serves every step.
+  * all torsion of ambient/<relations> lives at the roots of a single
+    polynomial h(t), the least common multiple of the parameter
+    coefficients of the leading positive-degree terms of the reduced basis
+    (generic freeness);
+  * when h = (t - c)^k and the relations are homogeneous, the module is
+    torsion-free exactly when its fiber at t = c has the Hilbert series of
+    the x-parts of the leads, a count that needs one basis over k[x];
+  * otherwise the torsion is the saturation of the relations at h, and the
+    certificate polynomial is the lcm of the minimal polynomials of t on
+    the torsion generators, read off their normal forms over homogeneous
+    relations and off kernels otherwise.  The module order
+    ranks the positive-degree part of a term first, then its position, then
+    its power of t (``orders.TOPOrder``), so every x-module term m*e_c sits
+    above each t-multiple of a smaller one: the lead of a basis element is
+    its leading x-module term, which is what generic freeness reads, and one
+    basis per module serves every step.
 
 A module is fiber-full at (t - c) when neither the module itself nor any of
 Ext^0..Ext^r against the ambient polynomial ring has torsion there.  These
@@ -45,7 +52,7 @@ from .groebner import (
     saturate,
     weight_vector_for,
 )
-from .hilbert import check_window
+from .hilbert import _leads_numerator, check_window
 from .modules import GradedFreeModule, PolyVector, SubmodulePresentation
 from .resolution import (
     _codimension,
@@ -54,7 +61,7 @@ from .resolution import (
     free_resolution,
     specialize_resolution,
 )
-from .rings import Polynomial, evaluate_parameter, parameter_lcm
+from .rings import Polynomial, evaluate_parameter, mon_divides, parameter_lcm
 
 
 # ---------------------------------------------------------------------------
@@ -103,10 +110,9 @@ def _leading_parameter_content(G):
 
 def parameter_torsion(pres):
     """Torsion certificate of ambient/<relations> over the parameter line:
-    generators of the saturation of the relations at the leading-content
-    polynomial, reduced to normal form, plus the monic annihilator obtained
-    by contracting the colon ideal to the parameter.  One reduced basis of
-    the relations serves all three steps."""
+    generators of the torsion, reduced to normal form, and their monic
+    annihilator in k[t]; none and 1 for a torsion-free module.  One reduced
+    basis of the relations serves every step (``_basis_torsion``)."""
     ring = pres.ring
     if not ring.has_parameter:
         raise InvalidArgumentError("parameter torsion needs a ring with a parameter")
@@ -116,14 +122,68 @@ def parameter_torsion(pres):
 
 
 def _basis_torsion(G):
-    """``parameter_torsion`` of the module presented by the reduced basis G
-    of its relations."""
+    """``parameter_torsion`` of the module N presented by the reduced basis
+    G of its relations.
+
+    Generic freeness (Eisenbud, Commutative Algebra, Thm 14.4): over
+    k[t][1/h], h the leading parameter content, N is free on the standard
+    monomials, so all torsion lives at the roots of h.  When h = (t - c)^k
+    and the relations are homogeneous, each graded piece is N_d =
+    k[t]^(r_d) + T_d with T_d torsion at (t - c) alone.  G stays a Groebner
+    basis over k(t), led by its x-leads, so r_d counts the standard
+    x-monomials of degree d; and the fiber has dim (N/(t - c)N)_d =
+    r_d + dim T_d/(t - c)T_d, which is r_d exactly when T_d = 0.  So N is
+    torsion-free when the Hilbert series of the fiber equals the one of the
+    x-leads, and then no saturation is run.  Otherwise, or when h has
+    another factor, the torsion is the saturation of the relations at h."""
     one = G.ring.one()
     if len(G) == 0:
         return TorsionCertificate(None, (), one)
     h = _leading_parameter_content(G)
     if h.is_constant():
         return TorsionCertificate(None, (), one)
+    c = _single_root(h)
+    if c is not None and _fiber_has_generic_series(G, c):
+        return TorsionCertificate(None, (), one)
+    return _saturation_torsion(G, h)
+
+
+def _single_root(h):
+    """c when the monic h in k[t] of degree k is (t - c)^k, else None.  The
+    coefficient of t^(k-1) is -k*c; when k is zero in the field, c is not
+    read off and None is returned."""
+    ring = h.ring
+    field = ring.field
+    k = max(mon[-1] for mon in h.coeffs)
+    k_in_field = field.coerce(k)
+    if k_in_field == field.zero:
+        return None
+    below = h.coefficient(ring.one_monomial()[:-1] + (k - 1,))
+    c = field.mul(field.neg(below), field.inv(k_in_field))
+    return c if (ring.parameter() - ring.constant(c)) ** k == h else None
+
+
+def _fiber_has_generic_series(G, c):
+    """True when the relations G are homogeneous and the fiber at t = c of
+    the module they present has the Hilbert series that the x-parts of
+    their leads give: both numerators are taken over the denominator of
+    k[x], one reduced basis of the fiber over k[x] giving its leads."""
+    if not all(v.is_homogeneous() for v in G.elements):
+        return False
+    ring = G.ring
+    r = ring.num_positive
+    twists = G.module.twists
+    fiber = buchberger(specialize_presentation(SubmodulePresentation(G.module, G.elements), c))
+    generic = [(mon[:r], comp) for mon, comp in G.leads]
+    return (_leads_numerator(fiber.leads, twists, ring.weights)
+            == _leads_numerator(generic, twists, ring.weights))
+
+
+def _saturation_torsion(G, h):
+    """The torsion certificate of the module presented by G read off the
+    saturation of its relations at h, a power of which kills all torsion:
+    the nonzero normal forms of the saturation's generators, and their
+    annihilator."""
     sat = saturate(SubmodulePresentation(G.module, G.elements), h)
     torsion = []
     for v in sat.generators:
@@ -131,26 +191,93 @@ def _basis_torsion(G):
         if not nf.is_zero():
             torsion.append(nf)
     if not torsion:
-        return TorsionCertificate(None, (), one)
+        return TorsionCertificate(None, (), G.ring.one())
     g = _torsion_annihilator(G, torsion)
     return TorsionCertificate(None, tuple(torsion), g)
 
 
 def _torsion_annihilator(G, torsion):
     """Monic generator of {p in k[t] : p * w in <relations> for all torsion
-    generators w}: the lcm over distinct w of the contraction to k[t] of the
-    kernel of p -> p * w modulo the relations.  Each kernel is an ideal, and
-    in rank one the module order is grevlex, which ranks every monomial
-    containing an x above every power of t: its reduced basis has one
-    element in k[t], and that element is monic."""
+    generators w}: the lcm over distinct w of the minimal polynomial of t
+    acting on the class of w, read off normal forms when the relations are
+    homogeneous and off the kernel of p -> p * w otherwise."""
+    annihilator = (_minimal_polynomial if all(v.is_homogeneous() for v in G.elements)
+                   else _kernel_annihilator)
     g = G.ring.one()
     for w in dict.fromkeys(torsion):
-        ann = module_kernel([w], (0,), ambient=G.module, modulo=G.elements)
-        polys = [v.components[0] for v in ann if v.components[0].is_parameter_only()]
-        if not polys:
-            raise InvalidArgumentError("torsion annihilator does not meet the parameter ring")
-        g = parameter_lcm(g, polys[0])
+        g = parameter_lcm(g, annihilator(G, w))
     return g
+
+
+def _minimal_polynomial(G, w):
+    """The monic p in k[t] of least degree with p * w in <G>, for homogeneous
+    relations G.
+
+    Normal forms are k-linear and vanish exactly on <G>, so p = sum a_j t^j
+    kills w exactly when sum a_j NF(t^j w) = 0.  A standard monomial
+    m t^j e_c whose x-part m e_c lies outside the module of x-leads stays
+    standard when multiplied by t, so these monomials span a free
+    k[t]-submodule F, which meets the torsion in 0.  So for torsion w, p is
+    also the least polynomial with NF(p * w) in F: the normal forms
+    NF(t^j w) = NF(t * NF(t^(j-1) w)), j = 0, 1, ..., are eliminated over
+    the field against the earlier ones on pivots outside F, and the first
+    left with no term outside F gives p when it is zero, and shows that w
+    is not torsion when it is not.  In the degrees of w only finitely many
+    standard monomials lie outside F, so the elimination ends."""
+    ring = G.ring
+    field = ring.field
+    r = ring.num_positive
+    t = ring.parameter()
+    x_leads = [[] for _ in G.module.twists]
+    for mon, comp in G.leads:
+        x_leads[comp].append(mon[:r])
+    seen = {}  # (monomial, component) -> whether its x-part is in the x-leads
+
+    def in_x_leads(key):
+        if key not in seen:
+            mon, comp = key
+            seen[key] = any(mon_divides(lead, mon[:r]) for lead in x_leads[comp])
+        return seen[key]
+
+    rows = []  # (pivot, reduced normal form, combination of t-powers)
+    v = normal_form(w, G)
+    j = 0
+    while True:
+        row = {(mon, comp): a for comp, p in enumerate(v.components) for mon, a in p.terms}
+        combo = {j: field.one}
+        for pivot, prow, pcombo in rows:
+            a = row.get(pivot)
+            if a is None:
+                continue
+            for key, b in prow.items():
+                row[key] = field.sub(row.get(key, field.zero), field.mul(a, b))
+            for e, b in pcombo.items():
+                combo[e] = field.sub(combo.get(e, field.zero), field.mul(a, b))
+            row = {key: b for key, b in row.items() if b != field.zero}
+        pivot = next((key for key in row if in_x_leads(key)), None)
+        if pivot is None:
+            if row:
+                raise InvalidArgumentError("torsion annihilator does not meet the parameter ring")
+            return Polynomial(ring, {(0,) * r + (e,): a for e, a in combo.items()
+                                     if a != field.zero})
+        inv = field.inv(row[pivot])
+        rows.append((pivot, {key: field.mul(inv, b) for key, b in row.items()},
+                     {e: field.mul(inv, b) for e, b in combo.items()}))
+        v = normal_form(v.mul_poly(t), G)
+        j += 1
+
+
+def _kernel_annihilator(G, w):
+    """The monic p in k[t] of least degree with p * w in <G>: the
+    contraction to k[t] of the kernel of p -> p * w modulo G.  The kernel
+    is an ideal, and in rank one the module order is grevlex, which ranks
+    every monomial containing an x above every power of t: its reduced
+    basis has one element in k[t], and that element is monic."""
+    ann = module_kernel([w], (0,), ambient=G.module, modulo=G.elements)
+    polys = [v.components[0] for v in ann if v.components[0].is_parameter_only()]
+    if not polys:
+        raise InvalidArgumentError("torsion annihilator does not meet the parameter ring")
+    return polys[0]
 
 
 # ---------------------------------------------------------------------------

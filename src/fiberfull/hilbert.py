@@ -108,6 +108,21 @@ def _numerator(gens, weights):
     return memo[root]
 
 
+def _leads_numerator(leads, twists, weights):
+    """Numerator of the Hilbert series of F/<leads>, for F the free module
+    with the given twists and ``leads`` a list of (monomial, component)
+    pairs: the sum over the components c of z^twists[c] times the numerator
+    of R/<leads in c>.  Every summand has the denominator of R."""
+    per_comp = [[] for _ in twists]
+    for mon, comp in leads:
+        per_comp[comp].append(mon)
+    out = {}
+    for shift, gens in zip(twists, per_comp):
+        for k, c in _numerator(gens, weights).items():
+            out[k + shift] = out.get(k + shift, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
 def monomial_quotient_counts(weights, gens, max_degree):
     """Hilbert function of k[x]/<monomial gens> in degrees 0..max_degree."""
     if max_degree < 0:

@@ -17,7 +17,7 @@ from math import inf
 
 from .errors import InvalidArgumentError
 from .groebner import _schreyer_levels, buchberger
-from .hilbert import _numerator, _order_at_one
+from .hilbert import _leads_numerator, _order_at_one
 from .modules import GradedFreeModule
 
 
@@ -252,15 +252,8 @@ def _codimension(G):
     or zero when c holds 1, so the sum vanishes to order n minus the largest
     dim_c, the Krull dimension of the module.  The zero module has infinite
     codimension."""
-    leads_by_comp = [[] for _ in range(G.module.rank)]
-    for mon, comp in G.leads:
-        leads_by_comp[comp].append(mon)
     ones = (1,) * G.ring.nvars
-    N = {}
-    for leads in leads_by_comp:
-        for e, c in _numerator(leads, ones).items():
-            N[e] = N.get(e, 0) + c
-    return _order_at_one(N)
+    return _order_at_one(_leads_numerator(G.leads, (0,) * G.module.rank, ones))
 
 
 def _twist_codimension(res):

@@ -1,7 +1,11 @@
 """Torsion certificates, fiber-fullness, the locus polynomial, fiber
 comparison, and the degeneration pipeline."""
 
+import importlib
+import importlib.util
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -19,20 +23,28 @@ from fiberfull import (
     fiber_full_locus,
     fiber_hilbert_compare,
     free_resolution,
+    homogenize_omega,
     krull_dimension,
     make_ring,
     monomials_of_degree,
+    normal_form,
     parameter_lcm,
     parameter_monic,
     parameter_torsion,
     saturate,
     verify_degeneration,
+    weight_vector_for,
 )
 from fiberfull.ext import _ext_from_resolution
 from fiberfull.fiberfull import (
+    _basis_torsion,
     _certificates,
+    _kernel_annihilator,
     _leading_parameter_content,
+    _minimal_polynomial,
     _report,
+    _saturation_torsion,
+    _single_root,
     _torsion_annihilator,
     generic_point,
 )
@@ -502,6 +514,349 @@ def test_parameter_torsion_computes_one_basis(monkeypatch):
     # saturate starts from the generators it is given
     saturate(pres, pres.ring.parameter())
     assert calls["buchberger"] == 1
+
+
+def test_single_root_torsion_computes_two_bases(monkeypatch):
+    # h = (t - 1)^2 has a single root, so the fiber at t = 1 gets a basis of
+    # its own; its series differs, x*y is (t - 1)-torsion, and saturation
+    # and the annihilator start from the basis of the relations
+    bases = _counting_calls(monkeypatch, "buchberger", ("fiberfull", "groebner"))
+    R = make_ring([1, 1], True, names=["x", "y"])
+    cert = parameter_torsion(ideal_from_strings(R, ("(t-1)^2*x*y", "x^2")))
+    assert [str(w) for w in cert.torsion_generators] == ["x*y"]
+    assert str(cert.annihilator) == "t^2 - 2*t + 1"
+    assert len(bases) == 2
+
+
+# ---------------------------------------------------------------------------
+# freeness by counting the fiber, and the annihilator from normal forms
+
+
+def _shift_parameter(p, c):
+    """p with t replaced by t - c."""
+    R = p.ring
+    shifted = R.parameter() - R.constant(c)
+    out = R.zero()
+    for mon, a in p.terms:
+        out = out + R.poly([(mon[:-1] + (0,), a)]) * shifted ** mon[-1]
+    return out
+
+
+def _random_quadrics(rng, S):
+    """Two or three quadrics of two or three terms each in k[x,y,z]."""
+    mons = monomials_of_degree(S, 2)
+    return [S.poly([(m, rng.choice((1, 2, -1, 3))) for m in rng.sample(mons, rng.randint(2, 3))])
+            for _ in range(rng.randint(2, 3))]
+
+
+def _groebner_family(rng, R):
+    """The Groebner family over k[t][x,y,z] of random quadrics under lex:
+    flat over k[t], so torsion-free, and its basis under grevlex has a
+    power of t as leading content."""
+    S = R.without_parameter()
+    G = buchberger(SubmodulePresentation.ideal(S, _random_quadrics(rng, S)), TermOrder.lex())
+    return [v.components[0] for v in homogenize_omega(G, weight_vector_for(G)).generators]
+
+
+def _coefficient_form(rng, R, pool):
+    """A quadric of one or two terms, each coefficient drawn from ``pool``."""
+    mons = monomials_of_degree(R.without_parameter(), 2)
+    picked = rng.sample(mons, rng.randint(1, 2))
+    return sum((rng.choice(pool) * R.poly([(m + (0,), 1)]) for m in picked), R.zero())
+
+
+def _single_root_presentations():
+    """(kind, presentation) over k[t][x,y,z], over QQ for an even seed and
+    GF(32003) for an odd one, c = 0 for half the seeds and otherwise a
+    nonzero constant:
+
+      * ``free``: the direct sum of one to three Groebner families of
+        random quadrics with t replaced by t - c, torsion-free, its Ext
+        modules with h = (t - c)^k;
+      * ``planted``: the same with (t - c)^k m e_j added, m a monomial of
+        degree one or two and k = 1..3, which plants (t - c)-torsion unless m
+        already lies in the family;
+      * ``binomial``: one generator (t - c)^k m + a m' per component,
+        m above m' in grevlex, k = 1..3: a direct sum of principal ideals
+        whose generators have content 1, torsion-free with h = (t - c)^k;
+      * ``mixed``: rank one or two, generators spanning several
+        components, their coefficients 1, 2, t - c or (t - c)^2;
+      * ``roots``: the same with coefficients t - c, t - c' and
+        (t - c)(t - c') for c != c', so that h has two roots."""
+    kinds = ("free", "planted", "binomial", "mixed", "roots")
+    for seed in range(300, 360):
+        rng = random.Random(seed)
+        R = make_ring([1, 1, 1], True, field=GF(32003) if seed % 2 else QQ,
+                      names=["x", "y", "z"])
+        t = R.parameter()
+        kind = kinds[(seed // 3) % 5]
+        rank = 1 + seed % (2 if kind in ("mixed", "roots") else 3)
+        c = 0 if seed // 15 % 2 == 0 else rng.choice((1, 2, -1, 7))
+        amb = GradedFreeModule(R, (0,) * rank)
+
+        def placed(j, f):
+            comps = [R.zero()] * rank
+            comps[j] = f
+            return PolyVector(amb, tuple(comps))
+
+        gens = []
+        if kind in ("free", "planted"):
+            for j in range(rank):
+                gens += [placed(j, _shift_parameter(f, c)) for f in _groebner_family(rng, R)]
+            if kind == "planted":
+                mono = R.one()
+                for _ in range(rng.randint(1, 2)):
+                    mono = mono * R.variable(rng.randrange(3))
+                j = rng.randrange(rank)
+                gens.append(placed(j, (t - R.constant(c)) ** rng.randint(1, 3) * mono))
+        elif kind == "binomial":
+            S = R.without_parameter()
+            for j in range(rank):
+                low, high = sorted(rng.sample(monomials_of_degree(S, 2), 2), key=S.canonical_key)
+                lead = (t - R.constant(c)) ** rng.randint(1, 3) * R.poly([(high + (0,), 1)])
+                gens.append(placed(j, lead + R.poly([(low + (0,), rng.choice((1, 2, -1)))])))
+        else:
+            tc = t - R.constant(c)
+            pool = [R.one(), R.constant(2), tc, tc * tc]
+            if kind == "roots":
+                tc2 = t - R.constant(c + rng.choice((1, 3, -2)))
+                pool = [R.one(), tc, tc2, tc * tc2]
+            for _ in range(rank + 1):
+                gens.append(PolyVector(amb, tuple(
+                    _coefficient_form(rng, R, pool) if rng.random() < 0.7 else R.zero()
+                    for _ in range(rank))))
+        yield kind, SubmodulePresentation(amb, gens)
+
+
+def _with_ext_modules(kind, pres):
+    """The presentation, then, for the direct sums and the seeded
+    presentations, its Ext modules.  The resolutions of the non-diagonal
+    modules can be far from minimal, and Ext over them does not finish
+    (ROADMAP item 3), so they give the module alone."""
+    yield pres
+    if kind in ("free", "planted", "binomial", "seeded"):
+        res = free_resolution(pres)
+        for i in range(res.length + 1):
+            yield _ext_from_resolution(res, i)
+
+
+def _counting_calls(monkeypatch, name, modules=("fiberfull",)):
+    """The list each call of ``name`` appends its arguments to, the name
+    patched in the given modules of the package (the certificates' own by
+    default), so that a call through any of them is counted."""
+    calls = []
+    for module in modules:
+        module = importlib.import_module("fiberfull." + module)
+        real = getattr(module, name)
+
+        def counted(*args, real=real, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_count_route_certificate_equals_the_saturation_route(monkeypatch):
+    # every module with a nonconstant leading content h, and its Ext modules
+    # at and above the codimension: the certificate equals the one that
+    # saturation gives; the count decides exactly the torsion-free modules
+    # whose h has a single root, and a module whose fiber series differs
+    # from the generic one has torsion
+    saturations = _counting_calls(monkeypatch, "saturate")
+    seen = Counter()
+    for kind, pres in _single_root_presentations():
+        for module in _with_ext_modules(kind, pres):
+            G = buchberger(module)
+            if not len(G):
+                continue
+            h = _leading_parameter_content(G)
+            if h.is_constant():
+                continue
+            before = len(saturations)
+            cert = _basis_torsion(G)
+            counted = len(saturations) == before
+            reference = _saturation_torsion(G, h)
+            assert cert == reference, (kind, module)
+            assert cert.to_json_dict() == reference.to_json_dict()
+            root = _single_root(h)
+            if counted:
+                assert root is not None and cert.is_torsion_free()
+                seen["counted at t" if root == 0 else "counted at t - c"] += 1
+                seen["counted in rank %d" % min(G.module.rank, 3)] += 1
+            elif root is not None:
+                assert not reference.is_torsion_free(), (kind, module)
+                seen["torsion at t" if root == 0 else "torsion at t - c"] += 1
+            else:
+                seen["several roots"] += 1
+    assert min(seen[k] for k in ("counted at t", "counted at t - c", "torsion at t",
+                                 "torsion at t - c", "several roots")) >= 5, seen
+    assert min(seen["counted in rank %d" % r] for r in (1, 2, 3)) >= 5, seen
+
+
+def test_count_route_falls_back_when_the_degree_is_zero_in_the_field(monkeypatch):
+    # h = t^3 over GF(3) and h = (t + 1)^2 = t^2 + 1 over GF(2): the degree
+    # k is zero in the field, so the root is not read off the coefficient of
+    # t^(k-1) and the certificate comes from saturation
+    saturations = _counting_calls(monkeypatch, "saturate")
+    cases = ((3, ("t^3*x - y",), "1"), (2, ("(t+1)^2*x", "y^2"), "t^2 + 1"))
+    for p, gens, annihilator in cases:
+        R = make_ring([1, 1], True, field=GF(p), names=["x", "y"])
+        G = buchberger(ideal_from_strings(R, gens))
+        h = _leading_parameter_content(G)
+        assert _single_root(h) is None and h.coeffs
+        before = len(saturations)
+        cert = _basis_torsion(G)
+        assert len(saturations) == before + 1
+        assert str(cert.annihilator) == annihilator
+        assert cert == _saturation_torsion(G, h)
+
+
+def test_single_root_reads_powers_of_one_linear_factor():
+    for field in (QQ, GF(32003), GF(7)):
+        R = make_ring([1], True, field=field, names=["x"])
+        t = R.parameter()
+        for c in (0, 1, -2, 5):
+            for k in (1, 2, 3, 5):
+                assert _single_root((t - R.constant(c)) ** k) == field.coerce(c)
+        assert _single_root(t * (t - R.one())) is None
+        assert _single_root(t * t + R.one()) is None
+
+
+def _kernel_lcm(G, torsion):
+    """The lcm of the kernel annihilators of the distinct w in ``torsion``."""
+    g = G.ring.one()
+    for w in dict.fromkeys(torsion):
+        g = parameter_lcm(g, _kernel_annihilator(G, w))
+    return g
+
+
+def test_normal_form_annihilator_equals_the_kernel_reference():
+    # one minimal polynomial per torsion generator and their lcm, against
+    # one module_kernel per generator; (t - 1)^2 kills x*y and nothing less
+    R = make_ring([1, 1], True, names=["x", "y"])
+    G = buchberger(ideal_from_strings(R, ("(t-1)^2*x*y", "x^2")))
+    w = normal_form(PolyVector(G.module, (R.parse("x*y"),)), G)
+    assert str(_torsion_annihilator(G, [w])) == "t^2 - 2*t + 1"
+    assert _minimal_polynomial(G, w) == _kernel_annihilator(G, w)
+    torsion = 0
+    cases = list(_single_root_presentations())
+    cases += [("seeded", pres) for pres in _seeded_parameter_presentations()]
+    for kind, pres in cases:
+        for module in _with_ext_modules(kind, pres):
+            if not module.ambient.rank:
+                continue
+            cert = parameter_torsion(module)
+            if cert.is_torsion_free():
+                continue
+            G = buchberger(module)
+            ws = cert.torsion_generators
+            assert cert.annihilator == _kernel_lcm(G, ws)
+            if all(v.is_homogeneous() for v in G.elements):
+                for w in ws:
+                    assert _minimal_polynomial(G, w) == _kernel_annihilator(G, w)
+            torsion += 1
+    assert torsion >= 20
+
+
+def test_torsion_annihilator_stops_when_no_term_outside_the_free_part_is_left(monkeypatch):
+    # modulo t^5*x, the class of x is killed by t^5: five normal forms
+    # t^j * x, j < 5, are independent before the first relation.  The
+    # standard monomials y*t^j span a free k[t]-submodule, since no lead
+    # divides y: the normal form of y lies in it, so y is refused after one
+    # normal form, and x + y after six, when t^5 * (x + y) reduces to t^5 * y
+    import fiberfull.fiberfull
+
+    R = make_ring([1, 1], True, names=["x", "y"])
+    G = buchberger(ideal_from_strings(R, ("t^5*x",)))
+    x, y, xy = (PolyVector(G.module, (R.parse(s),)) for s in ("x", "y", "x + y"))
+    assert str(_torsion_annihilator(G, [x])) == "t^5"
+    forms = []
+    monkeypatch.setattr(fiberfull.fiberfull, "normal_form",
+                        lambda v, G: forms.append(v) or normal_form(v, G))
+    for w, count in ((y, 1), (xy, 6)):
+        forms.clear()
+        with pytest.raises(InvalidArgumentError):
+            _torsion_annihilator(G, [w])
+        assert len(forms) == count
+
+
+def test_torsion_annihilator_over_inhomogeneous_relations_uses_the_kernel(monkeypatch):
+    # over inhomogeneous relations the normal forms of t^j * w need not stay
+    # in finitely many monomials (under lex), so the kernel decides: y is
+    # not torsion modulo (x^2 - x) and is refused, and (t - 1)^2 kills the
+    # class of x*y modulo ((t - 1)^2*x*y - x^2 + x^3, x^2 - x^3)
+    kernels = _counting_calls(monkeypatch, "module_kernel")
+    R = make_ring([1, 1], True, names=["x", "y"])
+    for order in (TermOrder.grevlex(), TermOrder.lex()):
+        G = buchberger(ideal_from_strings(R, ("x^2 - x",)), order)
+        with pytest.raises(InvalidArgumentError):
+            _torsion_annihilator(G, [PolyVector(G.module, (R.variable(1),))])
+        G = buchberger(ideal_from_strings(R, ("(t-1)^2*x*y - x^2 + x^3", "x^2 - x^3")), order)
+        w = normal_form(PolyVector(G.module, (R.parse("x*y"),)), G)
+        assert str(_torsion_annihilator(G, [w])) == "t^2 - 2*t + 1"
+    assert len(kernels) == 4
+
+
+def _degeneration_instances(seed, workdir):
+    """The instances of the benchmark's ``degeneration`` workload at this
+    seed, from ``bench/workloads.py`` loaded by path (it is only read)."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads_degeneration",
+        Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.degeneration(seed, workdir)
+
+
+def test_degeneration_certificates_run_no_saturation(tmp_path, monkeypatch):
+    # every certificate of a Groebner family has h a power of t and no
+    # torsion, so the count decides it: on the benchmark's degeneration
+    # inputs (two seeds, so two column orders of the minors) no saturate and
+    # no module_kernel call happens inside a certificate, and every answer
+    # passes the workload's own oracle
+    import fiberfull.fiberfull
+    import fiberfull.groebner
+
+    inside = [0]
+    calls = Counter()
+
+    def tracked(name, real, scope):
+        def wrapped(*args, **kwargs):
+            if scope:
+                inside[0] += 1
+            elif inside[0]:
+                calls[name] += 1
+            try:
+                return real(*args, **kwargs)
+            finally:
+                if scope:
+                    inside[0] -= 1
+        return wrapped
+
+    contents = []
+    real_content = fiberfull.fiberfull._leading_parameter_content
+    monkeypatch.setattr(fiberfull.fiberfull, "_leading_parameter_content",
+                        lambda G: contents.append(real_content(G)) or contents[-1])
+    monkeypatch.setattr(fiberfull.fiberfull, "_basis_torsion",
+                        tracked("certificate", fiberfull.fiberfull._basis_torsion, True))
+    monkeypatch.setattr(fiberfull.fiberfull, "saturate",
+                        tracked("saturate", fiberfull.fiberfull.saturate, False))
+    monkeypatch.setattr(fiberfull.groebner, "module_kernel",
+                        tracked("module_kernel", fiberfull.groebner.module_kernel, False))
+    ran = 0
+    for seed in (3, 7):
+        fiberfull.fiberfull._module_certificates.cache_clear()
+        workdir = tmp_path / str(seed)
+        workdir.mkdir()
+        for inst in _degeneration_instances(seed, workdir):
+            if inst.cliff:
+                continue
+            assert inst.check(inst.run()) is None, inst.name
+            ran += 1
+    assert ran == 10
+    assert calls == Counter()
+    assert sum(not h.is_constant() for h in contents) >= 16
 
 
 def test_generic_point_checks_deg_g_plus_one_candidates():
