@@ -12,13 +12,12 @@ generators and a monic annihilator in k[t]:
     polynomial h(t), the least common multiple of the parameter
     coefficients of the leading positive-degree terms of the reduced basis
     (generic freeness);
-  * when h = (t - c)^k and the relations are homogeneous, the module is
-    torsion-free exactly when its fiber at t = c has the Hilbert series of
-    the x-parts of the leads, a count that needs one basis over k[x];
+  * when h = (t - c)^k, the module is torsion-free exactly when its fiber
+    at t = c has the Hilbert series of the x-parts of the leads, a count
+    that needs one basis over k[x];
   * otherwise the torsion is the saturation of the relations at h, and the
     certificate polynomial is the lcm of the minimal polynomials of t on
-    the torsion generators, read off their normal forms over homogeneous
-    relations and off kernels otherwise.  The module order
+    the torsion generators, read off their normal forms.  The module order
     ranks the positive-degree part of a term first, then its position, then
     its power of t (``orders.TOPOrder``), so every x-module term m*e_c sits
     above each t-multiple of a smaller one: the lead of a basis element is
@@ -47,7 +46,6 @@ from .groebner import (
     homogenize_omega,
     initial_module,
     is_squarefree,
-    module_kernel,
     normal_form,
     saturate,
     weight_vector_for,
@@ -112,12 +110,13 @@ def parameter_torsion(pres):
     """Torsion certificate of ambient/<relations> over the parameter line:
     generators of the torsion, reduced to normal form, and their monic
     annihilator in k[t]; none and 1 for a torsion-free module.  One reduced
-    basis of the relations serves every step (``_basis_torsion``)."""
-    ring = pres.ring
-    if not ring.has_parameter:
+    basis of the relations serves every step (``_basis_torsion``).  The
+    module is graded: inhomogeneous relations are refused, as
+    ``free_resolution`` refuses them."""
+    if not pres.ring.has_parameter:
         raise InvalidArgumentError("parameter torsion needs a ring with a parameter")
-    if pres.ambient.rank == 0:
-        return TorsionCertificate(None, (), ring.one())
+    if not all(g.is_homogeneous() for g in pres.generators):
+        raise InvalidArgumentError("parameter torsion requires homogeneous relations")
     return _basis_torsion(buchberger(pres))
 
 
@@ -127,8 +126,8 @@ def _basis_torsion(G):
 
     Generic freeness (Eisenbud, Commutative Algebra, Thm 14.4): over
     k[t][1/h], h the leading parameter content, N is free on the standard
-    monomials, so all torsion lives at the roots of h.  When h = (t - c)^k
-    and the relations are homogeneous, each graded piece is N_d =
+    monomials, so all torsion lives at the roots of h.  When h = (t - c)^k,
+    each graded piece of the graded module N is N_d =
     k[t]^(r_d) + T_d with T_d torsion at (t - c) alone.  G stays a Groebner
     basis over k(t), led by its x-leads, so r_d counts the standard
     x-monomials of degree d; and the fiber has dim (N/(t - c)N)_d =
@@ -164,12 +163,10 @@ def _single_root(h):
 
 
 def _fiber_has_generic_series(G, c):
-    """True when the relations G are homogeneous and the fiber at t = c of
-    the module they present has the Hilbert series that the x-parts of
+    """True when the fiber at t = c of the module presented by the
+    homogeneous relations G has the Hilbert series that the x-parts of
     their leads give: both numerators are taken over the denominator of
     k[x], one reduced basis of the fiber over k[x] giving its leads."""
-    if not all(v.is_homogeneous() for v in G.elements):
-        return False
     ring = G.ring
     r = ring.num_positive
     twists = G.module.twists
@@ -183,7 +180,8 @@ def _saturation_torsion(G, h):
     """The torsion certificate of the module presented by G read off the
     saturation of its relations at h, a power of which kills all torsion:
     the nonzero normal forms of the saturation's generators, and their
-    annihilator."""
+    annihilator, the lcm over the distinct generators of their minimal
+    polynomials."""
     sat = saturate(SubmodulePresentation(G.module, G.elements), h)
     torsion = []
     for v in sat.generators:
@@ -192,26 +190,15 @@ def _saturation_torsion(G, h):
             torsion.append(nf)
     if not torsion:
         return TorsionCertificate(None, (), G.ring.one())
-    g = _torsion_annihilator(G, torsion)
+    g = G.ring.one()
+    for w in dict.fromkeys(torsion):
+        g = parameter_lcm(g, _minimal_polynomial(G, w))
     return TorsionCertificate(None, tuple(torsion), g)
 
 
-def _torsion_annihilator(G, torsion):
-    """Monic generator of {p in k[t] : p * w in <relations> for all torsion
-    generators w}: the lcm over distinct w of the minimal polynomial of t
-    acting on the class of w, read off normal forms when the relations are
-    homogeneous and off the kernel of p -> p * w otherwise."""
-    annihilator = (_minimal_polynomial if all(v.is_homogeneous() for v in G.elements)
-                   else _kernel_annihilator)
-    g = G.ring.one()
-    for w in dict.fromkeys(torsion):
-        g = parameter_lcm(g, annihilator(G, w))
-    return g
-
-
 def _minimal_polynomial(G, w):
-    """The monic p in k[t] of least degree with p * w in <G>, for homogeneous
-    relations G.
+    """The monic p in k[t] of least degree with p * w in <G>, for
+    homogeneous relations G, the only ones ``parameter_torsion`` admits.
 
     Normal forms are k-linear and vanish exactly on <G>, so p = sum a_j t^j
     kills w exactly when sum a_j NF(t^j w) = 0.  A standard monomial
@@ -265,19 +252,6 @@ def _minimal_polynomial(G, w):
                      {e: field.mul(inv, b) for e, b in combo.items()}))
         v = normal_form(v.mul_poly(t), G)
         j += 1
-
-
-def _kernel_annihilator(G, w):
-    """The monic p in k[t] of least degree with p * w in <G>: the
-    contraction to k[t] of the kernel of p -> p * w modulo G.  The kernel
-    is an ideal, and in rank one the module order is grevlex, which ranks
-    every monomial containing an x above every power of t: its reduced
-    basis has one element in k[t], and that element is monic."""
-    ann = module_kernel([w], (0,), ambient=G.module, modulo=G.elements)
-    polys = [v.components[0] for v in ann if v.components[0].is_parameter_only()]
-    if not polys:
-        raise InvalidArgumentError("torsion annihilator does not meet the parameter ring")
-    return polys[0]
 
 
 # ---------------------------------------------------------------------------

@@ -39,13 +39,11 @@ from fiberfull.ext import _ext_from_resolution
 from fiberfull.fiberfull import (
     _basis_torsion,
     _certificates,
-    _kernel_annihilator,
     _leading_parameter_content,
     _minimal_polynomial,
     _report,
     _saturation_torsion,
     _single_root,
-    _torsion_annihilator,
     generic_point,
 )
 from fiberfull.resolution import _schreyer_frame
@@ -78,6 +76,9 @@ def test_parameter_torsion_examples():
 
     free = parameter_torsion(SubmodulePresentation.ideal(Rt, []))
     assert free.is_torsion_free() and free.annihilator.is_constant()
+    # the zero module: its empty basis has no torsion
+    zero = parameter_torsion(SubmodulePresentation(GradedFreeModule(Rt, ()), []))
+    assert zero.is_torsion_free() and zero.annihilator.is_constant()
 
     cert2 = parameter_torsion(SubmodulePresentation.ideal(Rt, [(t * t - t) * x]))
     assert [str(v.components[0]) for v in cert2.torsion_generators] == ["x"]
@@ -478,12 +479,13 @@ def test_certificate_roots_are_the_fiber_jumps():
 
 
 def test_torsion_annihilator_needs_torsion():
-    # no polynomial in t alone kills 1 modulo (x^2): the kernel basis is
-    # (x^2), which does not meet k[t], and there is no certificate
+    # no polynomial in t alone kills 1 modulo (x^2): the normal form of 1
+    # lies outside the x-leads, in the free part, and there is no
+    # certificate
     Rt = _line_ring()
     G = buchberger(SubmodulePresentation.ideal(Rt, [Rt.variable(0) ** 2]))
     with pytest.raises(InvalidArgumentError):
-        _torsion_annihilator(G, [G.module.basis_vector(0)])
+        _minimal_polynomial(G, G.module.basis_vector(0))
 
 
 def test_parameter_torsion_computes_one_basis(monkeypatch):
@@ -723,22 +725,15 @@ def test_single_root_reads_powers_of_one_linear_factor():
         assert _single_root(t * t + R.one()) is None
 
 
-def _kernel_lcm(G, torsion):
-    """The lcm of the kernel annihilators of the distinct w in ``torsion``."""
-    g = G.ring.one()
-    for w in dict.fromkeys(torsion):
-        g = parameter_lcm(g, _kernel_annihilator(G, w))
-    return g
-
-
 def test_normal_form_annihilator_equals_the_kernel_reference():
-    # one minimal polynomial per torsion generator and their lcm, against
-    # one module_kernel per generator; (t - 1)^2 kills x*y and nothing less
+    # each minimal polynomial, and the certificate's lcm of them, against
+    # the contraction of a kernel to k[t]; (t - 1)^2 kills x*y and nothing
+    # less
     R = make_ring([1, 1], True, names=["x", "y"])
     G = buchberger(ideal_from_strings(R, ("(t-1)^2*x*y", "x^2")))
     w = normal_form(PolyVector(G.module, (R.parse("x*y"),)), G)
-    assert str(_torsion_annihilator(G, [w])) == "t^2 - 2*t + 1"
-    assert _minimal_polynomial(G, w) == _kernel_annihilator(G, w)
+    assert str(_minimal_polynomial(G, w)) == "t^2 - 2*t + 1"
+    assert _minimal_polynomial(G, w) == contraction_annihilator(G, [w])
     torsion = 0
     cases = list(_single_root_presentations())
     cases += [("seeded", pres) for pres in _seeded_parameter_presentations()]
@@ -751,10 +746,9 @@ def test_normal_form_annihilator_equals_the_kernel_reference():
                 continue
             G = buchberger(module)
             ws = cert.torsion_generators
-            assert cert.annihilator == _kernel_lcm(G, ws)
-            if all(v.is_homogeneous() for v in G.elements):
-                for w in ws:
-                    assert _minimal_polynomial(G, w) == _kernel_annihilator(G, w)
+            assert cert.annihilator == contraction_annihilator(G, ws)
+            for w in ws:
+                assert _minimal_polynomial(G, w) == contraction_annihilator(G, [w])
             torsion += 1
     assert torsion >= 20
 
@@ -770,32 +764,25 @@ def test_torsion_annihilator_stops_when_no_term_outside_the_free_part_is_left(mo
     R = make_ring([1, 1], True, names=["x", "y"])
     G = buchberger(ideal_from_strings(R, ("t^5*x",)))
     x, y, xy = (PolyVector(G.module, (R.parse(s),)) for s in ("x", "y", "x + y"))
-    assert str(_torsion_annihilator(G, [x])) == "t^5"
+    assert str(_minimal_polynomial(G, x)) == "t^5"
     forms = []
     monkeypatch.setattr(fiberfull.fiberfull, "normal_form",
                         lambda v, G: forms.append(v) or normal_form(v, G))
     for w, count in ((y, 1), (xy, 6)):
         forms.clear()
         with pytest.raises(InvalidArgumentError):
-            _torsion_annihilator(G, [w])
+            _minimal_polynomial(G, w)
         assert len(forms) == count
 
 
-def test_torsion_annihilator_over_inhomogeneous_relations_uses_the_kernel(monkeypatch):
-    # over inhomogeneous relations the normal forms of t^j * w need not stay
-    # in finitely many monomials (under lex), so the kernel decides: y is
-    # not torsion modulo (x^2 - x) and is refused, and (t - 1)^2 kills the
-    # class of x*y modulo ((t - 1)^2*x*y - x^2 + x^3, x^2 - x^3)
-    kernels = _counting_calls(monkeypatch, "module_kernel")
+def test_parameter_torsion_refuses_inhomogeneous_relations():
+    # the certificates are for graded modules, as the resolution is: over
+    # inhomogeneous relations the normal forms of t^j * w need not stay in
+    # finitely many monomials, so such relations are refused
     R = make_ring([1, 1], True, names=["x", "y"])
-    for order in (TermOrder.grevlex(), TermOrder.lex()):
-        G = buchberger(ideal_from_strings(R, ("x^2 - x",)), order)
-        with pytest.raises(InvalidArgumentError):
-            _torsion_annihilator(G, [PolyVector(G.module, (R.variable(1),))])
-        G = buchberger(ideal_from_strings(R, ("(t-1)^2*x*y - x^2 + x^3", "x^2 - x^3")), order)
-        w = normal_form(PolyVector(G.module, (R.parse("x*y"),)), G)
-        assert str(_torsion_annihilator(G, [w])) == "t^2 - 2*t + 1"
-    assert len(kernels) == 4
+    for relations in (("x^2 - x",), ("(t-1)^2*x*y - x^2 + x^3", "x^2 - x^3")):
+        with pytest.raises(InvalidArgumentError, match="homogeneous"):
+            parameter_torsion(ideal_from_strings(R, relations))
 
 
 def _degeneration_instances(seed, workdir):

@@ -248,6 +248,19 @@ def test_cli_degeneration_of_a_variable_named_t_is_refused(tmp_path):
     assert json.loads(out.stdout)["error"]["kind"] == "invalid-argument"
 
 
+def test_cli_fiberfull_and_locus_refuse_inhomogeneous_relations(tmp_path, capsys):
+    # the resolution refuses them before any torsion certificate is asked
+    # for, so no command reaches a certificate over inhomogeneous relations
+    path = _write(tmp_path, "inhom.ring",
+                  "ring R vars (x,y) weights (1,1) field QQ param t;\n"
+                  "ideal I = ((t-1)^2*x*y - x^2 + x^3, x^2 - x^3);\n")
+    for argv in (["fiberfull", path, "--at", "1"], ["locus", path]):
+        assert cli.main(argv) == 1, argv
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["kind"] == "invalid-argument", argv
+        assert error["message"] == "resolution requires homogeneous generators", argv
+
+
 def test_cli_window_takes_a_negative_value_after_a_space(tmp_path):
     path = _write(tmp_path, "conic.ring",
                   "ring S vars (x,y,z) weights (1,1,1) field QQ;\nideal I = (x*z - y^2);\n")
