@@ -12,7 +12,7 @@ of d_k, as the resolution stores it, is the r-th column of d_k^T.
 
 from .errors import IndexOutOfRangeError, InvalidArgumentError
 from .groebner import buchberger, module_kernel
-from .hilbert import HilbertTable, check_window, hilbert_from_leads
+from .hilbert import HilbertTable, _expand, _leads_numerator, check_window, hilbert_from_leads
 from .modules import GradedFreeModule, PolyVector, SubmodulePresentation
 from .resolution import _twist_codimension, free_resolution
 
@@ -66,8 +66,14 @@ def hilbert_function(pres, window):
     of the relations."""
     check_window(window)
     ambient = pres.ambient
-    leads = buchberger(pres).leads if pres.generators else []
-    return hilbert_from_leads(ambient.ring, ambient.rank, ambient.twists, leads, window)
+    return hilbert_from_leads(ambient.ring, ambient.rank, ambient.twists,
+                              _relation_leads(pres), window)
+
+
+def _relation_leads(pres):
+    """Leads of the reduced basis of the relations of ``pres``; none for a
+    free module."""
+    return buchberger(pres).leads if pres.generators else []
 
 
 def _field_base_rank(ring):
@@ -102,33 +108,62 @@ def local_cohomology_tables(pres, window):
 
 def _tables_from_resolution(res, window):
     """Tables of H^0..H^r, each the base dual of Ext^{r-i} read off the
-    one resolution ``res``.
+    one resolution ``res`` over k[x].  Only dimensions are needed, so no Ext
+    module is presented: they are expanded from the Hilbert series
+    numerators of ``_ext_numerators``."""
+    return _tables_from_numerators(res.ring, _ext_numerators(res), window)
 
-    Only dimensions are needed, so no Ext module is presented.  With Q_j
-    the Hilbert function of the cokernel of the transposed d_j (Q_0 that of
-    F_0^*), in every degree dim Ext^j = dim ker d_{j+1}^T - dim im d_j^T =
-    Q_{j+1} + Q_j - dim F_{j+1}^*, and Ext^n = Q_n at the length n.
+
+def _tables_from_numerators(ring, numerators, window):
+    """Tables of H^0..H^r on ``window`` from the Hilbert series numerators
+    of Ext^0..Ext^r over k[x], each expanded against the denominator of k[x]
+    on the dual window: H^i in degree nu is dual to Ext^(r-i) in degree
+    -nu - delta."""
+    delta = ring.delta
+    lo, hi = window
+    inner_lo, inner_hi = -hi - delta, -lo - delta
+    tables = []
+    for num in reversed(numerators):
+        low = min(inner_lo, min(num, default=inner_lo))
+        series = _expand(num, ring.weights, low, inner_hi)
+        tables.append(HilbertTable(window, {nu: series[-nu - delta - low]
+                                            for nu in range(lo, hi + 1)}))
+    return tables
+
+
+def _ext_numerators(res):
+    """Numerators of the Hilbert series of Ext^0..Ext^r against k[x] over
+    the denominator of k[x], each a map from degrees to nonzero integers,
+    read off the resolution ``res`` of length n.
+
+    With N(Q_j) the numerator of Q_j, the cokernel of the transposed d_j in
+    F_j^* (Q_0 = F_0^*), counted off the leads of its reduced basis: in
+    every degree dim Ext^j = dim ker d_{j+1}^T - dim im d_j^T, so
+    Ext^j has N(Q_{j+1}) + N(Q_j) - sum_tau z^tau over the twists of F_{j+1}^*
+    for j < n, and N(Q_n) at n.
 
     Over a Cohen-Macaulay ring such as k[x], Ext^j(M, R) = 0 for every
     j < grade(ann M) = codim M (Bruns-Herzog, Cohen-Macaulay Rings, 1.2.10
-    and 2.1.4), so H^{r-j} is written as zero there and Q_j is formed only
-    for j >= codim M, which is read off the twists of ``res``."""
-    r, delta = res.ring.num_positive, res.ring.delta
-    lo, hi = window
-    inner = (-hi - delta, -lo - delta)
+    and 2.1.4), so no Q_j below codim M is formed; the codimension is read
+    off the twists of ``res``.  Ext^j is 0 above n too."""
     n = res.length
     codim = _twist_codimension(res)
-    coker = {j: hilbert_function(SubmodulePresentation(
-        res.modules[j].dual(), _dual_columns(res, j) if j else []), inner).dims
-        for j in range(n + 1) if j >= codim}
+    coker = {}
+    for j in range(n + 1):
+        if j >= codim:
+            dual = res.modules[j].dual()
+            leads = _relation_leads(SubmodulePresentation(dual, _dual_columns(res, j) if j else []))
+            coker[j] = _leads_numerator(leads, dual.twists, res.ring.weights)
     out = []
-    for i in range(r + 1):
-        j = r - i
-        dims = {}
-        if codim <= j == n:
-            dims = coker[n]
-        elif codim <= j < n:
-            free = hilbert_function(SubmodulePresentation(res.modules[j + 1].dual(), []), inner)
-            dims = {nu: coker[j + 1][nu] + coker[j][nu] - d for nu, d in free.dims.items()}
-        out.append(HilbertTable(window, {nu: dims.get(-nu - delta, 0) for nu in range(lo, hi + 1)}))
+    for j in range(res.ring.num_positive + 1):
+        ext = {}
+        if j == n and j in coker:
+            ext = coker[n]
+        elif j in coker:
+            ext = dict(coker[j + 1])
+            for k, c in coker[j].items():
+                ext[k] = ext.get(k, 0) + c
+            for tau in res.modules[j + 1].dual().twists:
+                ext[tau] = ext.get(tau, 0) - 1
+        out.append({k: c for k, c in ext.items() if c})
     return out

@@ -34,13 +34,21 @@ annihilators; its nonvanishing set is exactly the set of good fibers.  The
 certificates of the last presentation checked are kept
 (``functools.lru_cache`` of one entry), so the locus followed by checks at
 several points computes them once.
+
+A Groebner family, once its module certificate confirms that it is flat,
+needs no Ext over k[t][x] when it is fiber-full: the paper's criterion reads
+fiber-fullness at t = 0 off the Hilbert series of Ext^0..Ext^r of the two
+ends, which agree exactly when no Ext of the family has torsion (the argument
+is at ``verify_degeneration``).  Only when they differ are the Ext modules
+presented and certified, and only that route can meet the theorem-violation
+check of a square-free, fiber-full family with unequal tables.
 """
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import InvalidArgumentError, TheoremViolationError
-from .ext import _ext_from_resolution, _tables_from_resolution, local_cohomology_tables
+from .ext import _ext_from_resolution, _ext_numerators, _tables_from_numerators, local_cohomology_tables
 from .groebner import (
     buchberger,
     homogenize_omega,
@@ -307,16 +315,20 @@ def _certificates(res):
     """Torsion certificates of the module that ``res`` resolves and of
     Ext^0..Ext^r against the ambient ring (r counting positive-degree
     variables only), the Ext modules read off ``res``: the pair (module
-    certificate, tuple of Ext certificates).  The module certificate and the
-    codimension read the reduced basis the resolution was built on.
+    certificate, tuple of Ext certificates).  The module certificate reads
+    the reduced basis the resolution was built on."""
+    return _basis_torsion(res.basis), _ext_certificates(res)
+
+
+def _ext_certificates(res):
+    """The Ext certificates of ``_certificates``.  The codimension reads the
+    reduced basis the resolution was built on.
 
     The ambient ring is Cohen-Macaulay, so Ext^i(M, R) = 0 for every
     i < grade(ann M) = codim M (Bruns-Herzog, Cohen-Macaulay Rings, 1.2.10
     and 2.1.4): such an Ext^i is not presented and gets the certificate of
     the zero module."""
-    G = res.basis
-    module_cert = _basis_torsion(G)
-    codim = _codimension(G)
+    codim = _codimension(res.basis)
     ext_certs = []
     for i in range(res.ring.num_positive + 1):
         if i < codim:
@@ -324,7 +336,7 @@ def _certificates(res):
             continue
         cert = parameter_torsion(_ext_from_resolution(res, i))
         ext_certs.append(TorsionCertificate(i, cert.torsion_generators, cert.annihilator))
-    return module_cert, tuple(ext_certs)
+    return tuple(ext_certs)
 
 
 @lru_cache(maxsize=1)
@@ -458,11 +470,35 @@ def verify_degeneration(pres, order, window):
     family is resolved; the ends take its resolution specialized at t = 1
     and t = 0.
 
-    When the initial ideal is square-free and the family is fiber-full, the
-    tables must agree degreewise; if they do not, something is inconsistent
-    and a theorem-violation error carrying the report is raised.  A family
-    with torsion over k[t] is not flat, which a Groebner family always is,
-    and raises a theorem-violation error too.
+    A family with torsion over k[t] is not flat, which a Groebner family
+    always is, and raises a theorem-violation error.  The family is then
+    fiber-full at t = 0 exactly when the Hilbert series of every Ext^i
+    against k[x] is the same at both ends, and then no Ext over k[t][x] is
+    presented:
+
+      * J = ``homogenize_omega(G, omega)`` is homogeneous also for the
+        grading deg t = 1, deg x_i = omega_i.  So every Ext^i of the family
+        over k[t][x] is bigraded, and the annihilator of its torsion is a
+        homogeneous ideal of k[t], a power of t: the only torsion there is
+        lies at t = 0.
+      * The family is flat, so its resolution F, specialized at t = c,
+        resolves the fiber at c.  In each degree d, F^* is a finite free
+        complex over the principal ideal domain k[t], so by universal
+        coefficients dim Ext^i(fiber at c)_d = rank Ext^i_d + mu_i(c) +
+        mu_(i+1)(c), mu_i(c) counting the (t - c)-torsion summands of
+        Ext^i_d.
+      * Every mu is 0 at c = 1, so the series of the two ends agree for
+        every i exactly when no Ext^i has torsion, and every Ext
+        certificate is then that of a torsion-free module.
+
+    The series are compared as numerators over the denominator of k[x],
+    and the tables of both ends are expanded from them.  When they
+    differ, the certificates come from the Ext modules presented over
+    k[t][x] (``_ext_certificates``), with their torsion generators and
+    annihilators.  When the initial ideal is square-free and those find the
+    family fiber-full, the tables must agree degreewise; if they do not,
+    something is inconsistent and a theorem-violation error carrying the
+    report is raised.
     """
     check_window(window)
     ring = pres.ring
@@ -480,20 +516,27 @@ def verify_degeneration(pres, order, window):
     omega = weight_vector_for(G)
     family = homogenize_omega(G, omega)
     res_family = free_resolution(family)
-    certs = _certificates(res_family)
 
     # the family is a Groebner degeneration, hence flat over k[t], and its
     # fibers at t = 1 and t = 0 are the ideal and its initial ideal; so the
     # family's resolution, specialized, resolves both ends.  The module
     # certificate confirms the flatness before it is relied on
-    if not certs[0].is_torsion_free():
+    module_cert = _basis_torsion(res_family.basis)
+    if not module_cert.is_torsion_free():
         raise TheoremViolationError(
             "the Groebner family has torsion over the parameter line, so it is not flat")
-    ff = _report(certs, 0)
     res_ideal = specialize_resolution(res_family, 1)
     res_init = specialize_resolution(res_family, 0)
-    tables_ideal = _tables_from_resolution(res_ideal, window)
-    tables_init = _tables_from_resolution(res_init, window)
+    series_ideal = _ext_numerators(res_ideal)
+    series_init = _ext_numerators(res_init)
+    if series_ideal == series_init:
+        one = res_family.ring.one()
+        ext_certs = tuple(TorsionCertificate(i, (), one) for i in range(r + 1))
+    else:
+        ext_certs = _ext_certificates(res_family)
+    ff = _report((module_cert, ext_certs), 0)
+    tables_ideal = _tables_from_numerators(ring, series_ideal, window)
+    tables_init = _tables_from_numerators(ring, series_init, window)
     equal = all(a == b for a, b in zip(tables_ideal, tables_init))
 
     bt_ideal = betti_table(res_ideal)

@@ -127,13 +127,19 @@ def monomial_quotient_counts(weights, gens, max_degree):
     """Hilbert function of k[x]/<monomial gens> in degrees 0..max_degree."""
     if max_degree < 0:
         return []
-    num = _numerator([tuple(g) for g in gens], tuple(weights))
-    series = [0] * (max_degree + 1)
+    return _expand(_numerator([tuple(g) for g in gens], tuple(weights)), weights, 0, max_degree)
+
+
+def _expand(num, weights, low, high):
+    """Coefficients of num(z) / prod_i (1 - z^w_i) in degrees low..high, as
+    a list, for a numerator ``num`` (degree -> coefficient) with no term
+    below degree ``low``."""
+    series = [0] * (high - low + 1)
     for k, c in num.items():
-        if 0 <= k <= max_degree:
-            series[k] += c
+        if k <= high:
+            series[k - low] += c
     for w in weights:
-        for d in range(w, max_degree + 1):
+        for d in range(w, high - low + 1):
             series[d] += series[d - w]
     return series
 

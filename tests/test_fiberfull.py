@@ -31,11 +31,12 @@ from fiberfull import (
     parameter_lcm,
     parameter_monic,
     parameter_torsion,
+    parse_input,
     saturate,
     verify_degeneration,
     weight_vector_for,
 )
-from fiberfull.ext import _ext_from_resolution
+from fiberfull.ext import _ext_from_resolution, _ext_numerators, _tables_from_resolution
 from fiberfull.fiberfull import (
     _basis_torsion,
     _certificates,
@@ -46,18 +47,22 @@ from fiberfull.fiberfull import (
     _single_root,
     generic_point,
 )
-from fiberfull.resolution import _schreyer_frame
+from fiberfull.resolution import _schreyer_frame, specialize_resolution
 from fixtures import (
+    PARSER_CORPUS,
     hypersurface_conic,
     ideal_from_strings,
+    macaulay_suite,
     parameter_families,
     squarefree_presentations,
     twisted_cubic,
 )
 from helpers import (
     buchberger_saturate,
+    cokernel_tables,
     contraction_annihilator,
     fiber_jumps,
+    rand_homogeneous,
     transposed_cokernel,
     vector_in_submodule,
 )
@@ -797,11 +802,13 @@ def _degeneration_instances(seed, workdir):
 
 
 def test_degeneration_certificates_run_no_saturation(tmp_path, monkeypatch):
-    # every certificate of a Groebner family has h a power of t and no
-    # torsion, so the count decides it: on the benchmark's degeneration
-    # inputs (two seeds, so two column orders of the minors) no saturate and
-    # no module_kernel call happens inside a certificate, and every answer
-    # passes the workload's own oracle
+    # every Groebner family of the benchmark's degeneration inputs (two
+    # seeds, so two column orders of the minors) is fiber-full, so cv-verify
+    # reads its certificates off the Ext series of the two ends: no Ext is
+    # presented and no Ext certificate computed, and every answer passes the
+    # workload's own oracle.  The presenting route, run on the same
+    # families, finds h a power of t and no torsion, decided by the count:
+    # no saturate and no module_kernel call happens inside a certificate
     import fiberfull.fiberfull
     import fiberfull.groebner
 
@@ -831,6 +838,9 @@ def test_degeneration_certificates_run_no_saturation(tmp_path, monkeypatch):
                         tracked("saturate", fiberfull.fiberfull.saturate, False))
     monkeypatch.setattr(fiberfull.groebner, "module_kernel",
                         tracked("module_kernel", fiberfull.groebner.module_kernel, False))
+    families = _record_results(monkeypatch, fiberfull.fiberfull, "free_resolution")
+    presented = _record_calls(monkeypatch, fiberfull.fiberfull, "_ext_from_resolution")
+    torsion = _record_calls(monkeypatch, fiberfull.fiberfull, "parameter_torsion")
     ran = 0
     for seed in (3, 7):
         fiberfull.fiberfull._module_certificates.cache_clear()
@@ -841,7 +851,15 @@ def test_degeneration_certificates_run_no_saturation(tmp_path, monkeypatch):
                 continue
             assert inst.check(inst.run()) is None, inst.name
             ran += 1
-    assert ran == 10
+    assert ran == len(families) == 10
+    assert presented == [] and torsion == []
+
+    del contents[:]
+    for res in families:
+        module_cert, ext_certs = _certificates(res)
+        assert module_cert.is_torsion_free()
+        assert all(cert.is_torsion_free() for cert in ext_certs)
+    assert presented and torsion
     assert calls == Counter()
     assert sum(not h.is_constant() for h in contents) >= 16
 
@@ -976,6 +994,19 @@ def test_verify_degeneration_resolves_each_module_once(monkeypatch):
     assert bases.count(family) == 1
 
 
+def _record_results(monkeypatch, module, name):
+    """The result of every call of ``module.name``, which still runs."""
+    real = getattr(module, name)
+    results = []
+
+    def recorded(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(module, name, recorded)
+    return results
+
+
 def _record_calls(monkeypatch, module, name):
     """Arguments of every call of ``module.name``, which still runs."""
     real = getattr(module, name)
@@ -1006,7 +1037,6 @@ def test_certificates_present_no_ext_below_the_codimension(monkeypatch, name):
 
 def test_tables_form_no_cokernel_below_the_codimension(monkeypatch):
     import fiberfull.ext
-    from fiberfull.ext import _tables_from_resolution
 
     # the twisted cubic and the quartic curve (codimension 2, depth 2 and 1)
     # in four variables, the ideal (x) and the zero module, whose
@@ -1020,12 +1050,13 @@ def test_tables_form_no_cokernel_below_the_codimension(monkeypatch):
     for pres, codim in cases:
         res = free_resolution(pres)
         assert _codim(pres) == codim
-        calls = _record_calls(monkeypatch, fiberfull.ext, "hilbert_function")
+        calls = _record_calls(monkeypatch, fiberfull.ext, "_relation_leads")
         _tables_from_resolution(res, (-6, 2))
-        # Q_j is presented in F_j^* by the columns of d_j^T (none for j = 0);
-        # the free F_{j+1}^* is presented by none
-        formed = sorted(j for j in range(res.length + 1) for q, _ in calls
+        # Q_j is presented in F_j^* by the columns of d_j^T (none for j = 0),
+        # and its leads are what the tables count from
+        formed = sorted(j for j in range(res.length + 1) for (q,) in calls
                         if q.ambient == res.modules[j].dual() and (q.generators or j == 0))
+        assert len(formed) == len(calls), pres
         assert formed == list(range(codim, res.length + 1)), (pres, formed)
 
 
@@ -1080,18 +1111,125 @@ def test_verify_degeneration_rejects_bad_input():
 
 def test_verify_degeneration_refuses_a_family_with_torsion(monkeypatch):
     # the ends are read off the family's resolution only because a Groebner
-    # family is flat; a module certificate showing torsion must stop that
+    # family is flat; a module certificate showing torsion must stop that.
+    # The torsion is planted where that certificate is computed, from the
+    # family's reduced basis
     import fiberfull.fiberfull
     from fiberfull import TheoremViolationError
 
-    real = fiberfull.fiberfull._certificates
+    real = fiberfull.fiberfull._basis_torsion
+    planted = []
 
-    def with_torsion(res):
-        _, ext_certs = real(res)
-        cert = fiberfull.fiberfull.TorsionCertificate(
-            None, (res.basis.elements[0],), res.ring.parameter())
-        return cert, ext_certs
+    def with_torsion(G):
+        real(G)
+        planted.append(G)
+        return fiberfull.fiberfull.TorsionCertificate(
+            None, (G.elements[0],), G.ring.parameter())
 
-    monkeypatch.setattr(fiberfull.fiberfull, "_certificates", with_torsion)
-    with pytest.raises(TheoremViolationError):
+    monkeypatch.setattr(fiberfull.fiberfull, "_basis_torsion", with_torsion)
+    with pytest.raises(TheoremViolationError, match="not flat"):
         verify_degeneration(twisted_cubic(), TermOrder.grevlex(), (-6, 2))
+    assert len(planted) == 1 and planted[0].ring.has_parameter
+
+
+def _cv_verify_case(text):
+    """(ideal, order, window) of a problem text as ``cv-verify`` reads it
+    with no flags: over F_32003 when the text declares QQ, under its order
+    statement or grevlex, on its window or (-delta - 10, 10)."""
+    spec = parse_input(text)
+    if spec.ring.field == QQ:
+        spec = spec.with_field(GF(32003))
+    window = spec.window or (-spec.ring.delta - 10, 10)
+    return (SubmodulePresentation.ideal(spec.ring, list(spec.generators)),
+            spec.order or TermOrder.grevlex(), window)
+
+
+def _golden_and_test_cv_verify_inputs():
+    """(name, ideal, order, window) for the cv-verify inputs of the golden
+    pins, the texts of the parser corpus that cv-verify accepts (no
+    parameter, homogeneous generators), and the ideals the tests and the
+    demos hand to verify_degeneration, under lex and grevlex."""
+    from test_golden import MINORS_2X3, NOT_FIBERFULL, QUARTIC, SEXTIC
+
+    out = []
+    pres, _, window = _cv_verify_case(MINORS_2X3)
+    out.append(("golden-minors", pres, TermOrder.lex(), window))
+    for name, text in (("golden-sextic", SEXTIC), ("golden-quartic", QUARTIC),
+                       ("golden-not-fiberfull", NOT_FIBERFULL)):
+        out.append((name,) + _cv_verify_case(text))
+    for k, text in enumerate(PARSER_CORPUS):
+        if " param " in text:
+            continue
+        case = _cv_verify_case(text)
+        if all(g.is_homogeneous() for g in case[0].generators):
+            out.append(("parser-corpus-%d" % k,) + case)
+    for k, pres in enumerate(macaulay_suite()):
+        for order in (TermOrder.lex(), TermOrder.grevlex()):
+            out.append(("macaulay-%d-%s" % (k, order.describe()), pres, order, (-6, 2)))
+    return out
+
+
+def _family_resolution(pres, order):
+    """The resolution of the Groebner family of ``pres`` that cv-verify
+    builds."""
+    G = buchberger(pres, order)
+    return free_resolution(homogenize_omega(G, weight_vector_for(G)))
+
+
+def _check_series_route(monkeypatch, cases):
+    """Run verify_degeneration on every (name, ideal, order, window) case and
+    compare its certificates with those of the presenting route,
+    ``_certificates`` of the family's resolution.  Ext is presented exactly
+    when the family is not fiber-full at t = 0.  Returns the verdicts."""
+    import fiberfull.fiberfull
+
+    presented = _record_calls(monkeypatch, fiberfull.fiberfull, "_ext_from_resolution")
+    verdicts = Counter()
+    for name, pres, order, window in cases:
+        del presented[:]
+        rep = verify_degeneration(pres, order, window)
+        ff = rep.fiberfull
+        assert bool(presented) is not ff.overall, name
+        expected = _certificates(_family_resolution(pres, order))
+        assert (ff.module_certificate, tuple(v.certificate for v in ff.verdicts)) == expected, name
+        verdicts[ff.overall] += 1
+    return verdicts
+
+
+def test_series_route_certificates_equal_the_presented_route(tmp_path, monkeypatch):
+    cases = _golden_and_test_cv_verify_inputs()
+    for inst in _degeneration_instances(1, tmp_path):
+        if not inst.cliff:
+            cases.append(("bench-" + inst.name,) + _cv_verify_case(inst.text))
+    verdicts = _check_series_route(monkeypatch, cases)
+    assert verdicts[True] and verdicts[False], verdicts
+
+
+def test_series_route_certificates_equal_the_presented_route_on_random_ideals(monkeypatch):
+    # two or three random quadrics in four variables, under lex and grevlex
+    R = make_ring([1, 1, 1, 1], field=GF(32003), names=["x", "y", "z", "w"])
+    rng = random.Random(27)
+    cases = []
+    for k in range(60):
+        gens = [rand_homogeneous(rng, R, 2) for _ in range(rng.randint(2, 3))]
+        pres = SubmodulePresentation.ideal(R, gens)
+        for order in (TermOrder.lex(), TermOrder.grevlex()):
+            cases.append(([str(g) for g in gens], pres, order, (-8, 3)))
+    verdicts = _check_series_route(monkeypatch, cases)
+    assert verdicts[True] and verdicts[False] >= 5, verdicts
+
+
+def test_ext_numerators_expand_to_the_tables():
+    # at both ends of every golden and test cv-verify input, the Ext^j
+    # numerators over the denominator of k[x], expanded on the window, give
+    # the tables that the long way counts: the Hilbert function of every
+    # Q_j and F_j^*, component by component, with the dense expansion of
+    # monomial_quotient_counts.  The window (-3, -2) lies above the dual of
+    # the lowest term of some numerators
+    for name, pres, order, window in _golden_and_test_cv_verify_inputs():
+        family = _family_resolution(pres, order)
+        for c in (1, 0):
+            res = specialize_resolution(family, c)
+            assert len(_ext_numerators(res)) == res.ring.num_positive + 1
+            for w in (window, (-3, -2)):
+                assert _tables_from_resolution(res, w) == cokernel_tables(res, w), (name, c, w)

@@ -79,6 +79,13 @@ UNIT_IDEAL = (
     "ring R vars (x,y,z) weights (1,1,1) field Fp 32003 param t;\n"
     "ideal M = (1);\n"
 )
+# the Groebner family of this ideal is flat but not fiber-full at t = 0: the
+# Ext series of the two ends differ, so cv-verify presents Ext over k[t][x],
+# and Ext^3 has the torsion generator 1 with annihilator t
+NOT_FIBERFULL = (
+    "ring S vars (x,y,z,w) weights (1,1,1,1) field Fp 32003;\n"
+    "ideal I = (x^2 - 2*x*y, x*y - 3*w^2);\n"
+)
 
 # (test id, input, arguments, sha256 of stdout).  The two checks of
 # LOCUS_INPUT pin certificates whose Ext annihilator is not constant
@@ -112,6 +119,8 @@ GOLDEN = [
     # codimension 2 and depth 1: Ext^3, above the codimension, is nonzero
     ("cv-verify-quartic", QUARTIC, ["cv-verify"],
      "46ff6e1c8ce999c8c966e051a218a060c94a44fd30acfc8f73103b0209e7cba3"),
+    ("cv-verify-not-fiberfull", NOT_FIBERFULL, ["cv-verify"],
+     "97fdc25f98b6d21ef0c3f59da569d2a961d3677206aa81f79f4272efdd8f2879"),
     ("fiberfull-zero-ideal", ZERO_IDEAL, ["fiberfull", "--at", "0"],
      "2d8026b28404207317212ae364f99d5f71756db97f62842abb3a21ff972fd612"),
     ("locus-zero-ideal", ZERO_IDEAL, ["locus"],
